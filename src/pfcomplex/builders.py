@@ -133,12 +133,7 @@ def flat_torus2(m: int = 3, shape=None) -> MetricComplex:
             tris.append((((i, j), (i, j + 1), (i + 1, j + 1)),
                          (vid(i, j), vid(i, j + 1), vid(i + 1, j + 1))))
     c = build_complex([ids for _, ids in tris], name=f"torus2_{m}")
-    lengths = {}
-    for offsets, ids in tris:
-        for (oa, ia), (ob, ib) in combinations(zip(offsets, ids), 2):
-            delta = np.asarray(ob) - np.asarray(oa)
-            lengths[edge_key(ia, ib)] = float(np.linalg.norm(shape @ delta))
-    return MetricComplex(c, lengths)
+    return MetricComplex(c, _lengths_from_grid(tris, shape))
 
 
 def box_complex(nx: int, ny: int, nz: int) -> MetricComplex:
@@ -733,14 +728,8 @@ def _identification_batch(mc: MetricComplex, frees):
     restricted to the affected stars), and accepted identifications claim
     their affected vertices so the batch members cannot interact.
     """
-    star = {}
-    nbrs = {}
-    for s in mc.complex.simplices:
-        for v in s:
-            star.setdefault(v, []).append(s)
-        if len(s) == 2:
-            nbrs.setdefault(s[0], set()).add(s[1])
-            nbrs.setdefault(s[1], set()).add(s[0])
+    nbrs = {v: {x for e in st if len(e) == 2 for x in e if x != v}
+            for v, st in mc.complex.vertex_star.items()}
 
     def length_key(s):
         if len(s) == 1:
@@ -749,7 +738,7 @@ def _identification_batch(mc: MetricComplex, frees):
                                  for l in sorted(mc.simplex_lengths(s)))
 
     def pollution(s):
-        return sum(len(nbrs.get(v, ())) for v in s)
+        return sum(len(nbrs[v]) for v in s)
 
     free_set = {p.face for p in frees}
     by_key = {}
@@ -767,7 +756,7 @@ def _identification_batch(mc: MetricComplex, frees):
             continue
         closed = set(fa)
         for v in fa:
-            closed |= nbrs.get(v, set())
+            closed |= nbrs[v]
         group = by_key.get(length_key(fa), ())
         clean = [s for s in group if s != fa and not (set(s) & closed)]
         risky = [s for s in group
@@ -778,11 +767,11 @@ def _identification_batch(mc: MetricComplex, frees):
                 continue
             for perm in permutations(fb):
                 # merging adjacent vertices degenerates their edge
-                if any(w in nbrs.get(v, ()) for v, w in zip(fa, perm)):
+                if any(w in nbrs[v] for v, w in zip(fa, perm)):
                     continue
                 if not _isometric_map(mc, fa, perm):
                     continue
-                if not _pair_admissible(mc.complex, star, fa, perm):
+                if not _pair_admissible(mc.complex, fa, perm):
                     continue
                 found = perm
                 break
@@ -798,7 +787,7 @@ def _identification_batch(mc: MetricComplex, frees):
     return batch
 
 
-def _pair_admissible(c, star, fa, perm) -> bool:
+def _pair_admissible(c, fa, perm) -> bool:
     """Whether identifying fa with perm keeps the complex simplicial.
 
     Equivalent to running the quotient validator, but restricted to the
@@ -817,7 +806,7 @@ def _pair_admissible(c, star, fa, perm) -> bool:
     seen = {}
     affected = set()
     for v in list(fa) + list(perm):
-        affected.update(star[v])
+        affected.update(c.vertex_star[v])
     # acceptance is a pure counting condition, so iteration order is free
     for s in affected:
         image = tuple(sorted({cls.get(v, v) for v in s}))

@@ -20,7 +20,7 @@ import math
 import sys
 
 from . import builders, homology, metric, pfcio
-from .complexes import euler_characteristic, free_faces
+from .complexes import ComplexError, euler_characteristic, free_faces
 from .report import CONTRADICTION, FAIL, INCONCLUSIVE, PASS
 
 EXIT_PASS = 0
@@ -333,7 +333,7 @@ def run_command(argv, out=None) -> int:
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, ValueError, metric.MetricError) as e:
+    except (OSError, ValueError, metric.MetricError, ComplexError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -13,6 +13,7 @@ reports are reproducible byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -119,16 +120,21 @@ class Complex:
 
     def facets(self) -> list[Simplex]:
         """Maximal simplices (those with no proper coface)."""
-        non_maximal = set()
-        by_card = {}
-        for s in self.simplices:
-            by_card.setdefault(len(s), set()).add(s)
-        for s in self.simplices:
-            for f in combinations(s, len(s) - 1):
-                if f:
-                    non_maximal.add(f)
-        return sorted((s for s in self.simplices if s not in non_maximal),
+        return sorted((s for s, ts in coface_map(self).items() if not ts),
                       key=_sort_key)
+
+    @cached_property
+    def vertex_star(self) -> dict:
+        """Each vertex mapped to the tuple of simplices containing it.
+
+        Stars are in (length, lexicographic) order.  Built once per complex
+        on first use; every query about one simplex's star reads it.
+        """
+        out = {}
+        for s in sorted(self.simplices, key=_sort_key):
+            for v in s:
+                out.setdefault(v, []).append(s)
+        return {v: tuple(st) for v, st in out.items()}
 
     def subcomplex(self, simplices: Iterable[Simplex], name=None) -> "Complex":
         """Face closure of a subset of this complex's simplices."""
@@ -159,9 +165,7 @@ def star(c: Complex, s) -> Complex:
     s = canonical_simplex(s)
     if s not in c.simplices:
         raise MissingSimplexError(f"{s} is not a simplex of the complex")
-    sset = set(s)
-    cofaces = [t for t in c.simplices if sset.issubset(t)]
-    return build_complex(cofaces)
+    return build_complex(_cofaces(c, s))
 
 
 def link(c: Complex, s) -> Complex:
@@ -170,11 +174,14 @@ def link(c: Complex, s) -> Complex:
     if s not in c.simplices:
         raise MissingSimplexError(f"{s} is not a simplex of the complex")
     sset = set(s)
-    out = []
-    for t in c.simplices:
-        if sset.isdisjoint(t) and canonical_simplex(t + s) in c.simplices:
-            out.append(t)
-    return Complex(frozenset(out))
+    return Complex(frozenset(tuple(x for x in t if x not in sset)
+                             for t in _cofaces(c, s) if len(t) > len(s)))
+
+
+def _cofaces(c: Complex, s: Simplex) -> list[Simplex]:
+    """All simplices of c containing the simplex s, s itself included."""
+    sset = set(s)
+    return [t for t in c.vertex_star[s[0]] if sset.issubset(t)]
 
 
 class FreeFacePair(NamedTuple):
@@ -182,15 +189,19 @@ class FreeFacePair(NamedTuple):
     coface: Simplex
 
 
-def _coface_counts(simplices: set) -> dict:
-    """Map each simplex to its codimension-1 cofaces."""
-    cofaces = {s: [] for s in simplices}
-    for t in simplices:
-        if len(t) < 2:
-            continue
-        for f in combinations(t, len(t) - 1):
-            cofaces[f].append(t)
+def coface_map(c: Complex) -> dict:
+    """Map each simplex of c to the list of its codimension-1 cofaces.
+
+    Built afresh on every call, so callers may consume it destructively;
+    it is not cached on the complex, whose memory it would otherwise hold.
+    """
+    cofaces = {s: [] for s in c.simplices}
+    for t in c.simplices:
+        if len(t) > 1:
+            for f in combinations(t, len(t) - 1):
+                cofaces[f].append(t)
     return cofaces
+
 
 def free_faces(c: Complex) -> list[FreeFacePair]:
     """All pairs (face, coface) where face lies in exactly one coface.
@@ -199,7 +210,7 @@ def free_faces(c: Complex) -> list[FreeFacePair]:
     least two codimension-1 cofaces, so counting those alone is sufficient.
     Pairs come out sorted by face, lexicographically.
     """
-    cofaces = _coface_counts(set(c.simplices))
+    cofaces = coface_map(c)
     out = [FreeFacePair(f, ts[0]) for f, ts in cofaces.items() if len(ts) == 1]
     out.sort(key=lambda p: (len(p.face), p.face))
     return out
@@ -217,8 +228,7 @@ def collapse_core(c: Complex) -> CollapseResult:
     its unique coface, so the result is deterministic even where the core
     itself is not canonical.
     """
-    simplices = set(c.simplices)
-    cofaces = _coface_counts(simplices)
+    cofaces = coface_map(c)
     steps = 0
     while True:
         frees = [(len(f), f) for f, ts in cofaces.items() if len(ts) == 1]
@@ -227,7 +237,6 @@ def collapse_core(c: Complex) -> CollapseResult:
         _, f = min(frees)
         t = cofaces[f][0]
         for dead in (f, t):
-            simplices.discard(dead)
             cofaces.pop(dead, None)
         # codim-1 faces of both removed simplices lose one coface each
         for dead in (f, t):
@@ -237,7 +246,7 @@ def collapse_core(c: Complex) -> CollapseResult:
                 if sub in cofaces:
                     cofaces[sub] = [x for x in cofaces[sub] if x != dead]
         steps += 1
-    return CollapseResult(Complex(frozenset(simplices), name=c.name), steps)
+    return CollapseResult(Complex(frozenset(cofaces), name=c.name), steps)
 
 
 def euler_characteristic(c: Complex) -> int:

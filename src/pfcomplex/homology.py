@@ -20,7 +20,9 @@ from math import gcd
 from .complexes import (
     Complex,
     MissingSimplexError,
+    _UnionFind,
     canonical_simplex,
+    coface_map,
     link,
 )
 from .report import CONTRADICTION, PASS, CheckItem, CheckReport
@@ -359,21 +361,12 @@ class BettiVector:
 
 
 def _components(c: Complex) -> list[set]:
-    parent = {v: v for v in c.vertices}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in c.k_simplices(1):
-        ra, rb = find(e[0]), find(e[1])
-        if ra != rb:
-            parent[ra] = rb
+    classes = _UnionFind()
+    for a, b in c.k_simplices(1):
+        classes.union(a, b)
     comps = {}
-    for v in parent:
-        comps.setdefault(find(v), set()).add(v)
+    for v in c.vertices:
+        comps.setdefault(classes.find(v), set()).add(v)
     return list(comps.values())
 
 
@@ -520,23 +513,18 @@ def solid_chain_check(j: Complex, b: Complex) -> CheckReport:
     tets = j.k_simplices(3)
     has_top_cell = bool(tets)
     b_triangles = {s for s in b.simplices if len(s) == 3}
+    triangles = j.k_simplices(2)
+    cofaces = coface_map(j)
 
-    # boundary of the sum of all 3-simplices over GF(2)
-    face_parity = {}
-    for t in tets:
-        for face, _ in boundary_coefficients(t, RING_GF2):
-            face_parity[face] = face_parity.get(face, 0) ^ 1
-    boundary_support = sorted(f for f, p in face_parity.items() if p)
+    # boundary of the sum of all 3-simplices over GF(2): the triangles with
+    # an odd number of 3-cofaces
+    boundary_support = [f for f in triangles if len(cofaces[f]) % 2]
     outside = [f for f in boundary_support if f not in b_triangles]
     supported = not outside
 
-    # count 3-cofaces of each 2-simplex not in the marked subcomplex
-    coface_count = {s: 0 for s in j.k_simplices(2) if s not in b_triangles}
-    for t in tets:
-        for face, _ in boundary_coefficients(t, RING_GF2):
-            if face in coface_count:
-                coface_count[face] += 1
-    bad = sorted(f for f, n in coface_count.items() if n != 2)
+    # 2-simplices not in the marked subcomplex need exactly two 3-cofaces
+    bad = [f for f in triangles
+           if f not in b_triangles and len(cofaces[f]) != 2]
     closed_outside = has_top_cell and not bad
 
     if j.dim >= 3:

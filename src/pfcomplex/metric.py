@@ -24,6 +24,7 @@ from .complexes import (
     Complex,
     MissingSimplexError,
     canonical_simplex,
+    coface_map,
     free_faces,
     quotient,
 )
@@ -72,7 +73,10 @@ class MetricComplex:
     lengths: dict = field(compare=False)
 
     def length(self, u: int, v: int) -> float:
-        return self.lengths[edge_key(u, v)]
+        try:
+            return self.lengths[edge_key(u, v)]
+        except KeyError:
+            raise MetricError(f"edge {edge_key(u, v)} has no length") from None
 
     def simplex_lengths(self, s) -> list:
         """Edge lengths of a simplex in canonical vertex-pair order."""
@@ -111,8 +115,8 @@ def realizable(edge_lengths: list, dim: int, eps: float = EPS_CM) -> bool:
         raise ArityError(
             f"expected {len(pairs)} edge lengths for a {dim}-simplex, "
             f"got {len(edge_lengths)}")
-    if any(l <= 0 for l in edge_lengths):
-        return False
+    if not all(0 < l < math.inf for l in edge_lengths):
+        return False  # nonpositive, infinite or nan
     d2 = np.zeros((n, n))
     for (i, j), l in zip(pairs, edge_lengths):
         d2[i, j] = d2[j, i] = l * l
@@ -188,8 +192,8 @@ def validate_metric(mc: MetricComplex, eps: float = EPS_CM) -> None:
         l = mc.lengths.get(tuple(e))
         if l is None:
             raise MetricError(f"edge {e} has no length")
-        if l <= 0:
-            raise MetricError(f"edge {e} has nonpositive length {l}")
+        if not 0 < l < math.inf:
+            raise MetricError(f"edge {e} has length {l}, not finite positive")
     for k in range(2, mc.complex.dim + 1):
         for s in mc.complex.k_simplices(k):
             if not realizable(mc.simplex_lengths(s), k, eps):
@@ -199,8 +203,8 @@ def validate_metric(mc: MetricComplex, eps: float = EPS_CM) -> None:
 def angle_sum_at_vertex(mc: MetricComplex, v: int) -> float:
     """Total corner angle over all triangles containing the vertex."""
     total = 0.0
-    for t in mc.complex.k_simplices(2):
-        if v in t:
+    for t in mc.complex.vertex_star.get(v, ()):
+        if len(t) == 3:
             a, b = [x for x in t if x != v]
             total += corner_angle(mc.length(v, a), mc.length(v, b),
                                   mc.length(a, b))
@@ -250,9 +254,7 @@ def vertex_link_graph(mc: MetricComplex, v: int) -> MetricGraph:
         raise MissingSimplexError(f"vertex {v} not in complex")
     nodes = []
     arcs = []
-    for s in sorted(c.simplices, key=lambda s: (len(s), s)):
-        if v not in s:
-            continue
+    for s in c.vertex_star[v]:
         if len(s) == 2:
             nodes.append(s[0] if s[1] == v else s[1])
         elif len(s) == 3:
@@ -281,8 +283,8 @@ def edge_link_graph(mc: MetricComplex, e) -> MetricGraph:
     eset = set(e)
     nodes = []
     arcs = []
-    for s in sorted(c.simplices, key=lambda s: (len(s), s)):
-        if not eset.issubset(s):
+    for s in c.vertex_star[e[0]]:
+        if e[1] not in s:
             continue
         if len(s) == 3:
             nodes.append(next(x for x in s if x not in eset))
@@ -542,15 +544,12 @@ def gauss_bonnet(mc: MetricComplex):
     c = mc.complex
     if c.dim != 2:
         raise SurfaceConditionError(f"not a surface: dimension {c.dim}")
-    count = {}
-    for t in c.k_simplices(2):
-        for e in combinations(t, 2):
-            count[e] = count.get(e, 0) + 1
+    cofaces = coface_map(c)
     for e in c.k_simplices(1):
-        if count.get(tuple(e), 0) != 2:
+        if len(cofaces[e]) != 2:
             raise SurfaceConditionError(
-                f"edge {e} lies in {count.get(tuple(e), 0)} triangles, "
-                f"expected 2", edge=tuple(e))
+                f"edge {e} lies in {len(cofaces[e])} triangles, expected 2",
+                edge=e)
     from .complexes import euler_characteristic
 
     lhs = TWO_PI * euler_characteristic(c)

@@ -16,6 +16,8 @@ precision), so serialize(parse(serialize(x))) == serialize(x).
 
 from __future__ import annotations
 
+import math
+
 from .complexes import build_complex
 from .metric import MetricComplex, validate_metric
 
@@ -56,7 +58,8 @@ def parse(text: str, validate: bool = True) -> MetricComplex:
     """Parse a PFC document into a metric complex.
 
     The face closure of the `s` records is taken; when any `l` record is
-    present, every edge of the closure must receive a length (all-or-none).
+    present, every edge of the closure must receive exactly one finite
+    length (all-or-none), and no record may name an edge outside it.
     With validate=True the metric is certified flatly realizable.
     """
     header_seen = False
@@ -65,6 +68,7 @@ def parse(text: str, validate: bool = True) -> MetricComplex:
     nverts = None
     generators = []
     lengths = {}
+    length_line = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -98,9 +102,14 @@ def parse(text: str, validate: bool = True) -> MetricComplex:
                 val = float(args[2])
             except ValueError:
                 raise PfcSyntaxError(f"bad length value {args[2]!r}", lineno) from None
-            if val <= 0:
-                raise PfcSyntaxError(f"nonpositive length {val}", lineno)
+            if not 0 < val < math.inf:
+                raise PfcSyntaxError(f"length {args[2]!r} is not finite and "
+                                     f"positive", lineno)
+            if (u, v) in lengths:
+                raise PfcSyntaxError(f"duplicate length record for {(u, v)}",
+                                     lineno)
             lengths[(u, v)] = val
+            length_line[(u, v)] = lineno
         else:
             raise PfcSyntaxError(f"unknown directive {tag!r}", lineno)
     if not header_seen:
@@ -115,6 +124,10 @@ def parse(text: str, validate: bool = True) -> MetricComplex:
     if dim_declared is not None and c.dim > dim_declared:
         raise PfcSyntaxError(
             f"simplices of dimension {c.dim} exceed declared dim {dim_declared}")
+    for e, lineno in length_line.items():
+        if e not in c.simplices:
+            raise PfcSyntaxError(f"length record for edge {e}, which is not "
+                                 f"an edge of the complex", lineno)
     mc = MetricComplex(c, lengths)
     if lengths:
         missing = [tuple(e) for e in c.k_simplices(1) if tuple(e) not in lengths]

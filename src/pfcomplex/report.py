@@ -42,9 +42,6 @@ class CheckReport:
     def passed(self) -> bool:
         return self.verdict == PASS
 
-    def failures(self):
-        return [i for i in self.items if i.witness is not None]
-
     def to_json(self):
         return {
             "verdict": self.verdict,

@@ -78,6 +78,19 @@ def test_parse_validates_realizability():
     assert parse(doc, validate=False).length(1, 2) == 5.0
 
 
+@pytest.mark.parametrize("lines, bad_line", [
+    (["l 0 1 nan"], 5),
+    (["l 0 1 inf"], 5),
+    (["l 0 1 1.0", "l 1 2 1.0"], 6),
+    (["l 0 1 1.0", "l 0 1 2.0"], 6),
+], ids=["nan", "inf", "edge-outside-complex", "duplicate"])
+def test_parse_rejects_bad_length_records(lines, bad_line):
+    doc = "pfc 1\ndim 1\nvertices 3\ns 0 1\n" + "\n".join(lines) + "\n"
+    with pytest.raises(PfcSyntaxError) as err:
+        parse(doc)
+    assert err.value.line == bad_line
+
+
 def test_fixture_example1_euler():
     mc = parse(open(fixture("example1.pfc"), encoding="utf-8").read())
     assert euler_characteristic(mc.complex) == -5
@@ -205,3 +218,24 @@ def test_usage_errors_exit_2():
     assert run(["check", "nonsense", "x"])[0] == 2
     assert run(["homology", "/nonexistent/file.pfc"])[0] == 2
     assert run(["build", "freegroup"])[0] == 2
+
+
+@pytest.mark.parametrize("argv, doc", [
+    # no l records: the link checks need lengths the file does not give
+    (["check", "link-cat0", "{}"], "pfc 1\ndim 2\nvertices 3\ns 0 1 2\n"),
+    (["check", "extendability", "{}"],
+     "pfc 1\ndim 2\nvertices 3\ns 0 1 2\n"),
+    (["check", "free-faces", "{}"], "pfc 1\ndim 1\nvertices 2\ns -1 0\n"),
+    (["homology", fixture("house.pfc"), "--local", "999"], None),
+], ids=["link-cat0-no-lengths", "extendability-no-lengths",
+        "negative-vertex", "local-missing-vertex"])
+def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, doc):
+    if doc is not None:
+        path = tmp_path / "in.pfc"
+        path.write_text(doc)
+        argv = [str(path) if a == "{}" else a for a in argv]
+    code, out = run(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

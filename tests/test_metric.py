@@ -10,6 +10,7 @@ from pfcomplex import (
     Arc,
     DimensionError,
     MetricComplex,
+    MetricError,
     MetricGraph,
     SurfaceConditionError,
     build_complex,
@@ -21,15 +22,23 @@ from pfcomplex import (
     extendability_check,
     flat_torus2,
     flat_torus3,
+    free_faces,
     gauss_bonnet,
     girth,
+    link,
     min_eccentricity,
     realizable,
     simplex_complex,
+    star,
     validate_metric,
     vertex_link_graph,
 )
-from pfcomplex.metric import DomainError, _adjacency, _dijkstra
+from pfcomplex.metric import (
+    DomainError,
+    _adjacency,
+    _dijkstra,
+    angle_sum_at_vertex,
+)
 
 TWO_PI = 2 * math.pi
 
@@ -115,6 +124,15 @@ def test_realizable_basics():
 
 def test_realizable_degenerate_flat():
     assert not realizable([1, 1, 2], 2)
+
+
+def test_non_finite_lengths_rejected():
+    edge = build_complex([(0, 1)])
+    for bad in (math.nan, math.inf):
+        assert not realizable([bad, 1, 1], 2)
+        assert not realizable([1, 1, 1, 1, 1, bad], 3)
+        with pytest.raises(MetricError):
+            validate_metric(MetricComplex(edge, {(0, 1): bad}))
 
 
 def test_realizable_arity():
@@ -402,3 +420,59 @@ def test_constructed_complexes_are_realizable():
     for mc in (flat_torus3(3), flat_torus2(4),
                example1_interface_complex(), simplex_complex(3)):
         validate_metric(mc)
+
+
+# --- incidence queries against whole-complex scans --------------------------
+
+def test_incidence_queries_match_brute_force_scans():
+    """Stars, links, link graphs, angle sums, facets and free faces of
+    random complexes with unit edges equal scans of every simplex."""
+    rng = random.Random(2026)
+    corner, dihedral = math.acos(0.5), math.acos(1.0 / 3.0)
+    for _ in range(100):
+        gens = [tuple(rng.sample(range(7), rng.randint(1, 4)))
+                for _ in range(rng.randint(2, 7))]
+        c = build_complex(gens)
+        mc = MetricComplex(c, {e: 1.0 for e in c.k_simplices(1)})
+        ordered = sorted(c.simplices, key=lambda s: (len(s), s))
+
+        for s in ordered:
+            cofaces = [t for t in ordered if set(s) <= set(t)]
+            assert star(c, s).simplices == build_complex(cofaces).simplices
+            assert link(c, s).simplices == {
+                t for t in ordered if not set(s) & set(t)
+                and tuple(sorted(s + t)) in c.simplices}
+
+        for v in c.vertices:
+            at_v = [t for t in ordered if v in t]
+            tris = [t for t in at_v if len(t) == 3]
+            assert angle_sum_at_vertex(mc, v) == \
+                pytest.approx(len(tris) * corner)
+            if any(len(t) > 3 for t in at_v):
+                with pytest.raises(DimensionError):
+                    vertex_link_graph(mc, v)
+                continue
+            g = vertex_link_graph(mc, v)
+            assert g.nodes == tuple(x for t in at_v if len(t) == 2
+                                    for x in t if x != v)
+            assert [(a.u, a.v, a.tag) for a in g.arcs] == \
+                [(*(x for x in t if x != v), t) for t in tris]
+            assert all(a.weight == pytest.approx(corner) for a in g.arcs)
+
+        for e in c.k_simplices(1):
+            at_e = [t for t in ordered if set(e) <= set(t)]
+            g = edge_link_graph(mc, e)
+            assert g.nodes == tuple(x for t in at_e if len(t) == 3
+                                    for x in t if x not in e)
+            assert [(a.u, a.v, a.tag) for a in g.arcs] == \
+                [(*(x for x in t if x not in e), t)
+                 for t in at_e if len(t) == 4]
+            assert all(a.weight == pytest.approx(dihedral) for a in g.arcs)
+
+        assert c.facets() == [s for s in ordered
+                              if not any(set(s) < set(t) for t in ordered)]
+        up = {s: [t for t in ordered
+                  if len(t) == len(s) + 1 and set(s) < set(t)]
+              for s in ordered}
+        assert [tuple(p) for p in free_faces(c)] == \
+            [(s, ts[0]) for s, ts in up.items() if len(ts) == 1]
