@@ -3,8 +3,9 @@ A short homology tour: flat tori, torsion, relative pairs, local homology.
 
 Under the hood a Morse pairing first strips cells whose restricted boundary
 or coboundary is a single unit cell, and the surviving core goes through
-exact integer Smith reduction (or GF(2) elimination), so ranks and torsion
-come out exact.
+exact integer Smith reduction, so ranks and torsion come out exact.  GF(2)
+ranks follow from the integer invariant factors: each even one adds a rank
+mod 2 in two adjacent degrees, as the projective plane below shows.
 """
 
 from pfcomplex import (

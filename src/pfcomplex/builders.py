@@ -26,14 +26,16 @@ from .complexes import (
     build_complex,
     canonical_simplex,
     collapse_core,
+    euler_characteristic,
     faces_of,
     free_faces,
 )
-from .homology import RangeError
+from .homology import RING_GF2, RING_Z, RangeError, betti, solid_chain_check
 from .metric import (
     EPS_LEN,
     MetricComplex,
     MetricError,
+    cat0_two_complex_check,
     edge_key,
     embed_simplex,
     metric_disjoint_union,
@@ -41,6 +43,7 @@ from .metric import (
     realizable,
     vertex_link_graph,
 )
+from .report import CONTRADICTION, FAIL, PASS
 
 _AXES = np.eye(3, dtype=int)
 
@@ -392,6 +395,81 @@ def example_complex(name: str, override_angles=None) -> MetricComplex:
     raise ValueError(f"unknown example {name!r}")
 
 
+def example_report(name: str) -> dict:
+    """The obstruction chain of one gluing counterexample, as JSON values.
+
+    example1: each block drops chi by 2, and the vertex-0 link fails the
+    link condition under the intrinsic metric but passes once its angles
+    are 2*pi/3.  example2: Bing's house is acyclic without free faces, the
+    top-chain certificate on (box, house) is a contradiction, and b3 counts
+    the blocks.  `obstruction_reproduced` says whether every link holds.
+    """
+    if name == EXAMPLE1:
+        base = simplex_complex(3)
+        x = example_complex(EXAMPLE1)
+        chi_base = euler_characteristic(base.complex)
+        chi_x = euler_characteristic(x.complex)
+
+        intrinsic = cat0_two_complex_check(example1_interface_complex())
+        cycle_len = min(i.measured for i in intrinsic.items)
+
+        target = 2.0 * math.pi / 3.0
+        override = cat0_two_complex_check(
+            example1_interface_complex([target] * 3))
+        override_girth = min(i.measured for i in override.items
+                             if i.location == "vertex 0")
+
+        ok = (chi_x == chi_base - 6
+              and intrinsic.verdict == FAIL
+              and abs(cycle_len - math.pi) <= 1e-9
+              and override.verdict == PASS
+              and abs(override_girth - 2 * math.pi) <= 1e-9)
+        return {
+            "example": EXAMPLE1,
+            "chi_base": chi_base,
+            "chi_glued": chi_x,
+            "blocks": 3,
+            "intrinsic_link_verdict": intrinsic.verdict,
+            "intrinsic_shortest_link_cycle": cycle_len,
+            "override_link_verdict": override.verdict,
+            "override_link_girth": override_girth,
+            "obstruction_reproduced": ok,
+        }
+    if name == EXAMPLE2:
+        house = house_with_two_rooms()
+        house_free = free_faces(house.complex)
+        bz = betti(house.complex, RING_Z)
+        b2 = betti(house.complex, RING_GF2)
+
+        box = box_complex(*_HOUSE_BOX)
+        lemma = solid_chain_check(box.complex, house.complex)
+
+        x = example_complex(EXAMPLE2)
+        r = len(house.complex.k_simplices(2))
+        bx = betti(x.complex, RING_Z)
+        chi_ok = euler_characteristic(x.complex) == \
+            euler_characteristic(box.complex) - 2 * r
+
+        ok = (not house_free
+              and bz.ranks == (1, 0, 0) and b2.ranks == (1, 0, 0)
+              and lemma.verdict == CONTRADICTION
+              and bx.ranks[3] == 2 * r
+              and chi_ok)
+        return {
+            "example": EXAMPLE2,
+            "house_free_faces": len(house_free),
+            "house_betti_z": list(bz.ranks),
+            "house_betti_z2": list(b2.ranks),
+            "solid_chain_verdict": lemma.verdict,
+            "house_triangles": r,
+            "glued_b3_z": bx.ranks[3],
+            "expected_b3": 2 * r,
+            "chi_additivity": chi_ok,
+            "obstruction_reproduced": ok,
+        }
+    raise ValueError(f"unknown example {name!r}")
+
+
 # ---------------------------------------------------------------------------
 # complexes with free fundamental group
 
@@ -687,34 +765,6 @@ def _apply_batch(work, batch):
         except (QuotientDegeneracyError, MetricError):
             batch = batch[:len(batch) // 2]
     return work, 0
-
-
-def stellar_edge_split(mc: MetricComplex, edge) -> MetricComplex:
-    """Split one edge at its midpoint, subdividing exactly its cofaces."""
-    u, v = edge_key(*edge)
-    c = mc.complex
-    if (u, v) not in c.simplices:
-        raise SubdivisionError(f"edge {(u, v)} not in complex")
-    w = max(c.vertices) + 1
-    length_uv = mc.length(u, v)
-    lengths = dict(mc.lengths)
-    del lengths[(u, v)]
-    lengths[edge_key(u, w)] = length_uv / 2.0
-    lengths[edge_key(v, w)] = length_uv / 2.0
-    generators = [(w,)]
-    for s in c.simplices:
-        if u in s and v in s:
-            rest = [x for x in s if x not in (u, v)]
-            for x in rest:
-                # median from the midpoint of (u, v) to x
-                a, b, cc = mc.length(u, x), mc.length(v, x), length_uv
-                lengths[edge_key(w, x)] = math.sqrt(
-                    max(2 * a * a + 2 * b * b - cc * cc, 0.0)) / 2.0
-            generators.append(tuple(sorted([x for x in s if x != v] + [w])))
-            generators.append(tuple(sorted([x for x in s if x != u] + [w])))
-        else:
-            generators.append(s)
-    return MetricComplex(build_complex(generators, name=c.name), lengths)
 
 
 def _identification_batch(mc: MetricComplex, frees):

@@ -19,17 +19,12 @@ import json
 import math
 import sys
 
-from . import builders, homology, metric, pfcio
-from .complexes import ComplexError, euler_characteristic, free_faces
-from .report import CONTRADICTION, FAIL, INCONCLUSIVE, PASS
+from . import builders, complexes, homology, metric, pfcio
+from .report import EXIT_STATUS
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
-EXIT_INCONCLUSIVE = 3
-
-_VERDICT_EXIT = {PASS: EXIT_PASS, FAIL: EXIT_FAIL,
-                 INCONCLUSIVE: EXIT_INCONCLUSIVE, CONTRADICTION: EXIT_FAIL}
 
 
 class _CliParser(argparse.ArgumentParser):
@@ -51,9 +46,13 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _write_json(out, payload):
+    out.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
 def _print_report(report, out, as_json):
     if as_json:
-        out.write(json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n")
+        _write_json(out, report.to_json())
         return
     out.write(f"verdict: {report.verdict}\n")
     for item in report.items:
@@ -72,31 +71,29 @@ def _load(path) -> metric.MetricComplex:
         return pfcio.parse(fh.read())
 
 
+# build target -> (what its required argument is, or None; a function that
+# makes the complex from the remaining command-line words)
+_BUILDS = {
+    "example1": (None, lambda a: builders.example_complex(builders.EXAMPLE1)),
+    "example2": (None, lambda a: builders.example_complex(builders.EXAMPLE2)),
+    "house": (None, lambda a: builders.house_with_two_rooms()),
+    "torus3": (None, lambda a: builders.flat_torus3(int(a[0]) if a else 3)),
+    "freegroup": ("a rank argument",
+                  lambda a: builders.free_group_complex(int(a[0]))),
+    "gcify": ("an input file", lambda a: builders.gcify(_load(a[0])).complex),
+    "genus": ("a genus argument",
+              lambda a: builders.genus_surface(int(a[0]))),
+}
+
+
 def _build_target(args):
-    kind = args.what[0]
-    if kind == "example1":
-        return builders.example_complex(builders.EXAMPLE1)
-    if kind == "example2":
-        return builders.example_complex(builders.EXAMPLE2)
-    if kind == "house":
-        return builders.house_with_two_rooms()
-    if kind == "torus3":
-        m = int(args.what[1]) if len(args.what) > 1 else 3
-        return builders.flat_torus3(m)
-    if kind == "freegroup":
-        if len(args.what) < 2:
-            raise _UsageError("freegroup needs a rank argument")
-        return builders.free_group_complex(int(args.what[1]))
-    if kind == "gcify":
-        if len(args.what) < 2:
-            raise _UsageError("gcify needs an input file")
-        res = builders.gcify(_load(args.what[1]))
-        return res.complex
-    if kind == "genus":
-        if len(args.what) < 2:
-            raise _UsageError("genus needs a genus argument")
-        return builders.genus_surface(int(args.what[1]))
-    raise _UsageError(f"unknown build target {kind!r}")
+    kind, rest = args.what[0], args.what[1:]
+    if kind not in _BUILDS:
+        raise _UsageError(f"unknown build target {kind!r}")
+    needs, build = _BUILDS[kind]
+    if needs and not rest:
+        raise _UsageError(f"{kind} needs {needs}")
+    return build(rest)
 
 
 def _cmd_build(args, out):
@@ -110,42 +107,19 @@ def _cmd_build(args, out):
     return EXIT_PASS
 
 
+# resolved at call time, so wrappers installed on the modules are seen
+_CHECKS = {
+    "link-cat0": lambda mc: metric.link_condition_check(mc),
+    "free-faces": lambda mc: complexes.free_face_check(mc.complex),
+    "extendability": lambda mc: metric.extendability_check(mc),
+    "gauss-bonnet": lambda mc: metric.gauss_bonnet_check(mc),
+}
+
+
 def _cmd_check(args, out):
-    mc = _load(args.file)
-    kind = args.kind
-    if kind == "link-cat0":
-        if mc.complex.dim <= 2:
-            report = metric.cat0_two_complex_check(mc)
-        else:
-            report = metric.npc_edge_link_check(mc)
-            if report.verdict == PASS:
-                # only necessary conditions hold for 3-complexes
-                report = type(report)(INCONCLUSIVE, report.items,
-                                      report.metadata)
-    elif kind == "free-faces":
-        pairs = free_faces(mc.complex)
-        from .report import CheckItem, CheckReport
-
-        items = tuple(CheckItem(f"free face {p.face}", True, False,
-                                witness=p.coface) for p in pairs)
-        report = CheckReport(PASS if not pairs else FAIL, items,
-                             {"free_face_count": len(pairs)})
-    elif kind == "extendability":
-        report = metric.extendability_check(mc)
-    elif kind == "gauss-bonnet":
-        lhs, rhs = metric.gauss_bonnet(mc)
-        from .report import CheckItem, CheckReport
-
-        ok = abs(lhs - rhs) <= metric.EPS_GB
-        items = (CheckItem("2*pi*chi", lhs, None),
-                 CheckItem("total angle defect", rhs, None),
-                 CheckItem("difference", abs(lhs - rhs), metric.EPS_GB,
-                           witness=None if ok else (lhs, rhs)))
-        report = CheckReport(PASS if ok else FAIL, items)
-    else:
-        raise _UsageError(f"unknown check {kind!r}")
+    report = _CHECKS[args.kind](_load(args.file))
     _print_report(report, out, args.json)
-    return _VERDICT_EXIT[report.verdict]
+    return EXIT_STATUS[report.verdict]
 
 
 def _cmd_homology(args, out):
@@ -159,12 +133,12 @@ def _cmd_homology(args, out):
         bv = homology.betti(mc.complex, ring, relative_to=rel)
         label = "b"
     if args.json:
-        out.write(json.dumps({
+        _write_json(out, {
             "ring": ring,
             "reduced": bv.reduced,
             "ranks": list(bv.ranks),
             "torsion": [list(t) for t in bv.torsion],
-        }, sort_keys=True, indent=2) + "\n")
+        })
     else:
         out.write(f"{label}: " + " ".join(str(r) for r in bv.ranks) + "\n")
         if any(bv.torsion):
@@ -179,110 +153,46 @@ def _cmd_lemma13(args, out):
     b = _load(args.b)
     report = homology.solid_chain_check(j.complex, b.complex)
     _print_report(report, out, args.json)
-    return _VERDICT_EXIT[report.verdict]
+    return EXIT_STATUS[report.verdict]
 
 
 def _cmd_report(args, out):
-    if args.which == "example1":
-        return _report_example1(out, args.json)
-    if args.which == "example2":
-        return _report_example2(out, args.json)
-    raise _UsageError(f"unknown report {args.which!r}")
-
-
-def _report_example1(out, as_json):
-    """Obstruction chain for the first gluing counterexample."""
-    base = builders.simplex_complex(3)
-    x = builders.example_complex(builders.EXAMPLE1)
-    chi_base = euler_characteristic(base.complex)
-    chi_x = euler_characteristic(x.complex)
-
-    j_intrinsic = builders.example1_interface_complex()
-    intrinsic = metric.cat0_two_complex_check(j_intrinsic)
-    cycle_len = min(i.measured for i in intrinsic.items)
-
-    target = 2.0 * math.pi / 3.0
-    j_override = builders.example1_interface_complex([target] * 3)
-    override = metric.cat0_two_complex_check(j_override)
-    override_girth = min(i.measured for i in override.items
-                         if i.location == "vertex 0")
-
-    ok = (chi_x == chi_base - 6
-          and intrinsic.verdict == FAIL
-          and abs(cycle_len - math.pi) <= 1e-9
-          and override.verdict == PASS
-          and abs(override_girth - 2 * math.pi) <= 1e-9)
-    payload = {
-        "example": "example1",
-        "chi_base": chi_base,
-        "chi_glued": chi_x,
-        "blocks": 3,
-        "intrinsic_link_verdict": intrinsic.verdict,
-        "intrinsic_shortest_link_cycle": cycle_len,
-        "override_link_verdict": override.verdict,
-        "override_link_girth": override_girth,
-        "obstruction_reproduced": ok,
-    }
-    if as_json:
-        out.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    payload = builders.example_report(args.which)
+    if args.json:
+        _write_json(out, payload)
     else:
-        out.write("example1 report\n")
-        out.write(f"  chi: base {chi_base}, glued {chi_x} "
-                  f"(3 blocks, drop {chi_base - chi_x})\n")
-        out.write(f"  intrinsic metric: link check {intrinsic.verdict}, "
-                  f"shortest cycle {_fmt(cycle_len)} < 2*pi\n")
-        out.write(f"  override metric (angles 2*pi/3): link check "
-                  f"{override.verdict} at girth {_fmt(override_girth)}\n")
-        out.write(f"  obstruction reproduced: {_fmt(ok)}\n")
-    return EXIT_PASS if ok else EXIT_FAIL
+        out.write(_REPORT_TEXT[args.which](payload))
+    return EXIT_PASS if payload["obstruction_reproduced"] else EXIT_FAIL
 
 
-def _report_example2(out, as_json):
-    """Obstruction chain for the second gluing counterexample."""
-    house = builders.house_with_two_rooms()
-    house_free = free_faces(house.complex)
-    bz = homology.betti(house.complex, homology.RING_Z)
-    b2 = homology.betti(house.complex, homology.RING_GF2)
+def _example1_text(p) -> str:
+    return (
+        "example1 report\n"
+        f"  chi: base {p['chi_base']}, glued {p['chi_glued']} "
+        f"({p['blocks']} blocks, drop {p['chi_base'] - p['chi_glued']})\n"
+        f"  intrinsic metric: link check {p['intrinsic_link_verdict']}, "
+        f"shortest cycle {_fmt(p['intrinsic_shortest_link_cycle'])} < 2*pi\n"
+        f"  override metric (angles 2*pi/3): link check "
+        f"{p['override_link_verdict']} at girth "
+        f"{_fmt(p['override_link_girth'])}\n"
+        f"  obstruction reproduced: {_fmt(p['obstruction_reproduced'])}\n")
 
-    box = builders.box_complex(4, 3, 2)
-    lemma = homology.solid_chain_check(box.complex, house.complex)
 
-    x = builders.example_complex(builders.EXAMPLE2)
-    r = len(house.complex.k_simplices(2))
-    bx = homology.betti(x.complex, homology.RING_Z)
-    chi_ok = euler_characteristic(x.complex) == \
-        euler_characteristic(box.complex) - 2 * r
+def _example2_text(p) -> str:
+    return (
+        "example2 report\n"
+        f"  house: {p['house_free_faces']} free faces, betti(Z) "
+        f"{p['house_betti_z']}, betti(Z2) {p['house_betti_z2']}\n"
+        f"  solid chain certificate on (box, house): "
+        f"{p['solid_chain_verdict']}\n"
+        f"  glued complex: b3 = {p['glued_b3_z']} with "
+        f"{p['house_triangles']} blocks attached twice over "
+        f"(expected {p['expected_b3']})\n"
+        f"  chi additivity: {_fmt(p['chi_additivity'])}\n"
+        f"  obstruction reproduced: {_fmt(p['obstruction_reproduced'])}\n")
 
-    ok = (not house_free
-          and bz.ranks == (1, 0, 0) and b2.ranks == (1, 0, 0)
-          and lemma.verdict == CONTRADICTION
-          and bx.ranks[3] == 2 * r
-          and chi_ok)
-    payload = {
-        "example": "example2",
-        "house_free_faces": len(house_free),
-        "house_betti_z": list(bz.ranks),
-        "house_betti_z2": list(b2.ranks),
-        "solid_chain_verdict": lemma.verdict,
-        "house_triangles": r,
-        "glued_b3_z": bx.ranks[3],
-        "expected_b3": 2 * r,
-        "chi_additivity": chi_ok,
-        "obstruction_reproduced": ok,
-    }
-    if as_json:
-        out.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    else:
-        out.write("example2 report\n")
-        out.write(f"  house: {len(house_free)} free faces, betti(Z) "
-                  f"{list(bz.ranks)}, betti(Z2) {list(b2.ranks)}\n")
-        out.write(f"  solid chain certificate on (box, house): "
-                  f"{lemma.verdict}\n")
-        out.write(f"  glued complex: b3 = {bx.ranks[3]} with "
-                  f"{r} blocks attached twice over (expected {2 * r})\n")
-        out.write(f"  chi additivity: {_fmt(chi_ok)}\n")
-        out.write(f"  obstruction reproduced: {_fmt(ok)}\n")
-    return EXIT_PASS if ok else EXIT_FAIL
+
+_REPORT_TEXT = {"example1": _example1_text, "example2": _example2_text}
 
 
 def _parser() -> _CliParser:
@@ -333,7 +243,8 @@ def run_command(argv, out=None) -> int:
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, ValueError, metric.MetricError, ComplexError) as e:
+    except (OSError, ValueError, metric.MetricError,
+            complexes.ComplexError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -17,6 +17,8 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
+from .report import FAIL, PASS, CheckItem, CheckReport
+
 
 class ComplexError(Exception):
     """Base class for errors raised by this module."""
@@ -216,6 +218,18 @@ def free_faces(c: Complex) -> list[FreeFacePair]:
     return out
 
 
+def free_face_check(c: Complex) -> CheckReport:
+    """Free faces as a certificate: passes when the complex has none.
+
+    Each free face is one failing item, with its unique coface as witness.
+    """
+    pairs = free_faces(c)
+    items = tuple(CheckItem(f"free face {p.face}", True, False,
+                            witness=p.coface) for p in pairs)
+    return CheckReport(FAIL if pairs else PASS, items,
+                       {"free_face_count": len(pairs)})
+
+
 class CollapseResult(NamedTuple):
     complex: Complex
     steps: int
@@ -251,10 +265,7 @@ def collapse_core(c: Complex) -> CollapseResult:
 
 def euler_characteristic(c: Complex) -> int:
     """Alternating sum of simplex counts."""
-    chi = 0
-    for s in c.simplices:
-        chi += 1 if (len(s) - 1) % 2 == 0 else -1
-    return chi
+    return sum(1 if len(s) % 2 else -1 for s in c.simplices)
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,14 @@ Simplicial homology over the integers and over GF(2).
 
 Boundary matrices use the standard alternating-sign convention over Z and
 all-ones over GF(2), with rows and columns in lexicographic simplex order.
-Betti numbers come from exact rank computations: Gaussian elimination for
-GF(2) and Smith normal form with arbitrary-precision integers for Z.  To
-keep the torus-gluing fixtures (hundreds of thousands of cells) inside a
-desk-scale time budget, rank computation is preceded by a homology-preserving
-Morse pairing pass that strips cells whose restricted boundary or coboundary
-is a single unit-coefficient cell; everything the pairing cannot remove goes
-through the matrix algorithms unchanged.
+Betti numbers come from one exact computation, the Smith normal form with
+arbitrary-precision integers.  GF(2) ranks follow from it by the universal
+coefficient theorem: an invariant factor stays a unit mod 2 unless it is
+even.  To keep the torus-gluing fixtures (hundreds of thousands of cells)
+inside a desk-scale time budget, rank computation is preceded by a
+homology-preserving Morse pairing pass that strips cells whose restricted
+boundary or coboundary is a single unit-coefficient cell; everything the
+pairing cannot remove goes through the Smith reduction unchanged.
 """
 
 from __future__ import annotations
@@ -19,9 +20,7 @@ from math import gcd
 
 from .complexes import (
     Complex,
-    MissingSimplexError,
     _UnionFind,
-    canonical_simplex,
     coface_map,
     link,
 )
@@ -101,12 +100,9 @@ class ChainMatrix:
 
 def boundary_coefficients(simplex, ring: str):
     """Faces of a simplex with their boundary coefficients."""
-    out = []
-    for i in range(len(simplex)):
-        face = simplex[:i] + simplex[i + 1:]
-        coeff = 1 if (ring == RING_GF2 or i % 2 == 0) else -1
-        out.append((face, coeff))
-    return out
+    return [(simplex[:i] + simplex[i + 1:],
+             1 if (ring == RING_GF2 or i % 2 == 0) else -1)
+            for i in range(len(simplex))]
 
 
 def boundary_matrix(c: Complex, k: int, ring: str = RING_Z) -> ChainMatrix:
@@ -129,8 +125,8 @@ def boundary_matrix(c: Complex, k: int, ring: str = RING_Z) -> ChainMatrix:
 # homology, so only a small core reaches the matrix algorithms.
 
 
-def _restricted_boundaries(cells, excluded, ring):
-    """Boundary and coboundary adjacency restricted to `cells`.
+def _restricted_boundaries(cells, excluded):
+    """Integer boundary and coboundary adjacency restricted to `cells`.
 
     Boundaries carry coefficients; coboundaries are index sets only.
     """
@@ -140,7 +136,7 @@ def _restricted_boundaries(cells, excluded, ring):
     for s in cellset:
         b = {}
         if len(s) > 1:
-            for face, coeff in boundary_coefficients(s, ring):
+            for face, coeff in boundary_coefficients(s, RING_Z):
                 if face in cellset and face not in excluded:
                     b[face] = coeff
         bnd[s] = b
@@ -150,7 +146,7 @@ def _restricted_boundaries(cells, excluded, ring):
 
 
 # ---------------------------------------------------------------------------
-# exact rank / Smith normal form on sparse integer and GF(2) matrices
+# exact rank / Smith normal form on sparse integer matrices
 
 
 def _snf_dense_core(cols):
@@ -281,48 +277,6 @@ def _eliminate_integer(columns):
     return rank, leftover
 
 
-def _eliminate_gf2(columns):
-    """GF(2) rank by set-based elimination (columns as row-index sets)."""
-    import heapq
-
-    cols = {k: set(v) for k, v in columns.items() if v}
-    rows = {}
-    for ck, col in cols.items():
-        for r in col:
-            rows.setdefault(r, set()).add(ck)
-    heap = [(len(col), ck) for ck, col in cols.items()]
-    heapq.heapify(heap)
-    rank = 0
-    while heap:
-        deg, ck = heapq.heappop(heap)
-        pcol = cols.get(ck)
-        if pcol is None:
-            continue
-        if len(pcol) != deg:
-            heapq.heappush(heap, (len(pcol), ck))
-            continue
-        del cols[ck]
-        pr = min(pcol, key=lambda r: (len(rows[r]), r))
-        for r in pcol:
-            rows[r].discard(ck)
-        for other in list(rows.get(pr, ())):
-            ocol = cols[other]
-            for r in pcol:
-                if r in ocol:
-                    ocol.discard(r)
-                    rows[r].discard(other)
-                else:
-                    ocol.add(r)
-                    rows.setdefault(r, set()).add(other)
-            if not ocol:
-                del cols[other]
-            else:
-                heapq.heappush(heap, (len(ocol), other))
-        rows.pop(pr, None)
-        rank += 1
-    return rank
-
-
 def _normalize_factors(factors):
     """Bring a diagonal multiset into invariant-factor (divisibility) form."""
     fs = [abs(f) for f in factors if abs(f) > 1]
@@ -398,7 +352,7 @@ def betti(c: Complex, ring: str = RING_Z, relative_to: Complex | None = None) ->
         for comp in comps:
             cells.discard((min(comp),))
 
-    alive, core_bnd = _morse_pairing_relative(cells, excluded, ring)
+    alive, core_bnd = _morse_pairing_relative(cells, excluded)
 
     dim = c.dim
     n_alive = [0] * (dim + 1)
@@ -411,27 +365,29 @@ def betti(c: Complex, ring: str = RING_Z, relative_to: Complex | None = None) ->
         columns = {s: core_bnd[s] for s in alive if len(s) - 1 == k}
         if not columns:
             continue
+        rank, leftover = _eliminate_integer(columns)
         if ring == RING_GF2:
-            ranks_of_boundary[k] = _eliminate_gf2(columns)
-        else:
-            rank, leftover = _eliminate_integer(columns)
-            ranks_of_boundary[k] = rank + len(leftover)
-            torsion_of_boundary[k] = _normalize_factors(leftover)
+            # universal coefficients: a diagonal entry survives mod 2 unless
+            # it is even, and any diagonal form has as many even entries as
+            # the invariant factors do
+            leftover = [f for f in leftover if f % 2]
+        ranks_of_boundary[k] = rank + len(leftover)
+        torsion_of_boundary[k] = _normalize_factors(leftover)
 
-    ranks = []
-    torsion = []
-    for k in range(dim + 1):
-        b = n_alive[k] - ranks_of_boundary[k] - ranks_of_boundary[k + 1]
-        if k == 0:
-            b += b0_bonus
-        ranks.append(b)
-        torsion.append(torsion_of_boundary[k + 1] if ring == RING_Z else ())
+    ranks = [n_alive[k] - ranks_of_boundary[k] - ranks_of_boundary[k + 1]
+             for k in range(dim + 1)]
+    ranks[0] += b0_bonus
+    torsion = torsion_of_boundary[1:] if ring == RING_Z else [()] * (dim + 1)
     return BettiVector(tuple(ranks), tuple(torsion), ring)
 
 
-def _morse_pairing_relative(cells, excluded, ring):
-    """Morse pairing over a restricted (possibly relative) cell set."""
-    bnd, cob = _restricted_boundaries(cells, excluded, ring)
+def _morse_pairing_relative(cells, excluded):
+    """Morse pairing over a restricted (possibly relative) cell set.
+
+    Every boundary coefficient is +-1, so the pairs are the same over any
+    ring.
+    """
+    bnd, cob = _restricted_boundaries(cells, excluded)
     alive = set(cells)
     queue = sorted(alive, key=lambda s: (len(s), s), reverse=True)
     in_queue = set(queue)

@@ -25,10 +25,12 @@ from .complexes import (
     MissingSimplexError,
     canonical_simplex,
     coface_map,
-    free_faces,
+    disjoint_union,
+    euler_characteristic,
+    free_face_check,
     quotient,
 )
-from .report import FAIL, PASS, CheckItem, CheckReport
+from .report import FAIL, INCONCLUSIVE, PASS, CheckItem, CheckReport
 
 EPS_CM = 1e-9      # relative tolerance on Cayley-Menger determinants
 EPS_ANG = 1e-9     # tolerance on angle comparisons
@@ -486,24 +488,32 @@ def cat0_two_complex_check(mc: MetricComplex) -> CheckReport:
 def npc_edge_link_check(mc: MetricComplex) -> CheckReport:
     """Necessary curvature conditions for 3-complexes via edge links.
 
-    Only girth >= 2*pi around every edge is certified; vertex links of
-    3-complexes are spherical 2-complexes whose full verification is out of
-    scope, so a clean result is reported as pass with a necessary-only flag.
+    Only girth >= 2*pi around every edge is checked.  Vertex links of
+    3-complexes are spherical 2-complexes whose verification is out of
+    scope, so a short edge-link cycle fails the check while a clean result
+    is inconclusive, never a pass.
     """
     if mc.complex.dim > 3:
         raise DimensionError(f"edge link check requires dim <= 3")
     items = []
-    ok = True
     for e in mc.complex.k_simplices(1):
-        g = edge_link_graph(mc, e)
-        length, cycle = shortest_cycle(g)
-        bad = length < TWO_PI - EPS_ANG
-        ok = ok and not bad
-        if bad:
+        length, cycle = shortest_cycle(edge_link_graph(mc, e))
+        if length < TWO_PI - EPS_ANG:
             items.append(CheckItem(f"edge {e}", length, TWO_PI, witness=cycle))
     meta = {"necessary_conditions_only": True,
             "condition": "girth(link(e)) >= 2*pi for every edge e"}
-    return CheckReport(PASS if ok else FAIL, tuple(items), meta)
+    return CheckReport(FAIL if items else INCONCLUSIVE, tuple(items), meta)
+
+
+def link_condition_check(mc: MetricComplex) -> CheckReport:
+    """The link condition at the strength the complex's dimension allows.
+
+    Decisive vertex-link girths for dim <= 2, necessary edge-link girths
+    (never a pass) for dim 3.
+    """
+    if mc.complex.dim <= 2:
+        return cat0_two_complex_check(mc)
+    return npc_edge_link_check(mc)
 
 
 def extendability_check(mc: MetricComplex) -> CheckReport:
@@ -518,12 +528,9 @@ def extendability_check(mc: MetricComplex) -> CheckReport:
     if mc.complex.dim > 2:
         raise DimensionError(
             f"extendability check requires dim <= 2, got {mc.complex.dim}")
-    items = []
-    ok = True
-    for pair in free_faces(mc.complex):
-        ok = False
-        items.append(CheckItem(f"free face {pair.face}", True, False,
-                               witness=pair.coface))
+    faces = free_face_check(mc.complex)
+    items = list(faces.items)
+    ok = faces.verdict == PASS
     for v in mc.complex.vertices:
         g = vertex_link_graph(mc, v)
         if not g.nodes:
@@ -550,11 +557,20 @@ def gauss_bonnet(mc: MetricComplex):
             raise SurfaceConditionError(
                 f"edge {e} lies in {len(cofaces[e])} triangles, expected 2",
                 edge=e)
-    from .complexes import euler_characteristic
-
     lhs = TWO_PI * euler_characteristic(c)
     rhs = sum(TWO_PI - angle_sum_at_vertex(mc, v) for v in c.vertices)
     return lhs, rhs
+
+
+def gauss_bonnet_check(mc: MetricComplex) -> CheckReport:
+    """The Gauss-Bonnet identity on a closed surface, within EPS_GB."""
+    lhs, rhs = gauss_bonnet(mc)
+    ok = abs(lhs - rhs) <= EPS_GB
+    items = (CheckItem("2*pi*chi", lhs, None),
+             CheckItem("total angle defect", rhs, None),
+             CheckItem("difference", abs(lhs - rhs), EPS_GB,
+                       witness=None if ok else (lhs, rhs)))
+    return CheckReport(PASS if ok else FAIL, items)
 
 
 # ---------------------------------------------------------------------------
@@ -563,8 +579,6 @@ def gauss_bonnet(mc: MetricComplex):
 
 def metric_disjoint_union(a: MetricComplex, b: MetricComplex):
     """Disjoint union of metric complexes; returns (union, b-vertex shift)."""
-    from .complexes import disjoint_union
-
     c, shift = disjoint_union(a.complex, b.complex)
     lengths = dict(a.lengths)
     for (u, v), l in b.lengths.items():

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 
-from .complexes import build_complex
+from .complexes import InvalidSimplexError, build_complex, canonical_simplex
 from .metric import MetricComplex, validate_metric
 
 FORMAT_VERSION = 1
@@ -90,7 +90,11 @@ def parse(text: str, validate: bool = True) -> MetricComplex:
         elif tag == "s":
             if not args:
                 raise PfcSyntaxError("empty simplex record", lineno)
-            generators.append(tuple(_int_field(args, len(args), lineno)))
+            try:
+                generators.append(
+                    canonical_simplex(_int_field(args, len(args), lineno)))
+            except InvalidSimplexError as e:
+                raise PfcSyntaxError(str(e), lineno) from None
         elif tag == "l":
             if len(args) != 3:
                 raise PfcSyntaxError("length record needs 'l u v value'", lineno)

@@ -10,6 +10,9 @@ FAIL = "fail"
 INCONCLUSIVE = "inconclusive"
 CONTRADICTION = "contradiction"
 
+# process exit status of a check command, per verdict
+EXIT_STATUS = {PASS: 0, FAIL: 1, INCONCLUSIVE: 3, CONTRADICTION: 1}
+
 
 @dataclass(frozen=True)
 class CheckItem:
@@ -37,10 +40,6 @@ class CheckReport:
     verdict: str
     items: tuple = ()
     metadata: dict = field(default_factory=dict, compare=False)
-
-    @property
-    def passed(self) -> bool:
-        return self.verdict == PASS
 
     def to_json(self):
         return {

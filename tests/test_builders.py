@@ -243,17 +243,6 @@ def test_midpoint_subdivision_preserves_homology():
     assert lhs == pytest.approx(0.0, abs=1e-9)
 
 
-def test_stellar_edge_split():
-    from pfcomplex.builders import stellar_edge_split
-
-    d3 = simplex_complex(3)
-    s = stellar_edge_split(d3, (0, 1))
-    assert len(s.complex.k_simplices(3)) == 2
-    assert euler_characteristic(s.complex) == 1
-    validate_metric(s)
-    assert betti(s.complex, "z").ranks == (1, 0, 0, 0)
-
-
 # --- genus surfaces ---------------------------------------------------------------
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

@@ -91,6 +91,15 @@ def test_parse_rejects_bad_length_records(lines, bad_line):
     assert err.value.line == bad_line
 
 
+@pytest.mark.parametrize("record", ["s -1 0", "s 0 0"],
+                         ids=["negative", "repeated"])
+def test_parse_rejects_bad_simplex_records(record):
+    doc = "pfc 1\ndim 1\nvertices 3\ns 1 2\n" + record + "\n"
+    with pytest.raises(PfcSyntaxError) as err:
+        parse(doc)
+    assert err.value.line == 5
+
+
 def test_fixture_example1_euler():
     mc = parse(open(fixture("example1.pfc"), encoding="utf-8").read())
     assert euler_characteristic(mc.complex) == -5

@@ -15,6 +15,7 @@ from pfcomplex import (
     free_faces,
     house_with_two_rooms,
     local_homology,
+    quotient,
     solid_chain_check,
 )
 from pfcomplex.homology import ContainmentError, RangeError
@@ -260,6 +261,92 @@ def test_betti_invariant_under_elementary_collapse():
             work = Complex(frozenset(remaining))
             b = betti(work, "z2").ranks
             assert b == reference[:len(b)] + (0,) * (len(b) - len(reference))
+
+
+# --- GF(2): a dense mod-2 rank oracle, independent of the Smith form -------
+
+def rank_mod2(vectors):
+    """Rank over GF(2) of 0/1 vectors given as integer bitmasks."""
+    rank = 0
+    vectors = [v for v in vectors if v]
+    while vectors:
+        pivot = vectors.pop()
+        low = pivot & -pivot
+        vectors = [v ^ pivot if v & low else v for v in vectors]
+        vectors = [v for v in vectors if v]
+        rank += 1
+    return rank
+
+
+def betti_gf2_oracle(c, relative_to=None):
+    """Betti numbers over GF(2) from the mod-2 ranks of raw boundaries."""
+    excluded = set(relative_to.simplices) if relative_to is not None else set()
+    per_dim = {}
+    for s in c.simplices:
+        if s not in excluded:
+            per_dim.setdefault(len(s) - 1, []).append(s)
+    rank = [0] * (c.dim + 2)
+    for k in range(1, c.dim + 1):
+        bit = {s: 1 << i for i, s in enumerate(per_dim.get(k - 1, []))}
+        rank[k] = rank_mod2(
+            sum(bit.get(s[:i] + s[i + 1:], 0) for i in range(len(s)))
+            for s in per_dim.get(k, []))
+    return tuple(len(per_dim.get(k, [])) - rank[k] - rank[k + 1]
+                 for k in range(c.dim + 1))
+
+
+def wrapped_disk(n, k=3):
+    """A disk whose boundary of n*k edges wraps n times onto a k-cycle.
+
+    The boundary ring b, an inner ring a and a centre are glued by quotient
+    along the first boundary arc, so H_1 = Z/n and H_2 = 0.
+    """
+    m = n * k
+    b = list(range(m))
+    a = [m + i for i in range(m)]
+    tris = []
+    for i in range(m):
+        j = (i + 1) % m
+        tris += [(b[i], b[j], a[i]), (b[j], a[i], a[j]), (a[i], a[j], 2 * m)]
+    disk = build_complex(tris)
+
+    def edge(u, v):
+        return [(u,), (v,), tuple(sorted((u, v)))]
+
+    pairs = [([(b[k],)], [(b[0],)], {b[k]: b[0]})]
+    for i in range(k, m):
+        j = (i + 1) % m
+        t = i % k
+        pairs.append((edge(b[i], b[j]), edge(b[t], b[t + 1]),
+                      {b[i]: b[t], b[j]: b[t + 1]}))
+    return quotient(disk, pairs).complex
+
+
+def test_gf2_betti_matches_dense_mod2_oracle():
+    rng = random.Random(48)
+    pairs = 0
+    for _ in range(60):
+        c = random_complex(rng)
+        if c.dim < 0:
+            continue
+        assert betti(c, "z2").ranks == betti_gf2_oracle(c)
+        sub_gens = [s for s in c.facets() if rng.random() < 0.4]
+        if sub_gens:
+            sub = c.subcomplex(sub_gens)
+            assert betti(c, "z2", relative_to=sub).ranks == \
+                betti_gf2_oracle(c, relative_to=sub)
+            pairs += 1
+    assert pairs >= 20
+
+
+@pytest.mark.parametrize("n, gf2_ranks", [(3, (1, 0, 0)), (4, (1, 1, 1))],
+                         ids=["Z3", "Z4"])
+def test_gf2_betti_counts_only_even_torsion(n, gf2_ranks):
+    x = wrapped_disk(n)
+    assert betti_oracle(x) == ((1, 0, 0), ((), (n,), ()))
+    assert betti(x, "z").torsion == ((), (n,), ())
+    assert betti_gf2_oracle(x) == gf2_ranks
+    assert betti(x, "z2").ranks == gf2_ranks
 
 
 def test_relative_containment_error():

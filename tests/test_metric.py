@@ -26,6 +26,7 @@ from pfcomplex import (
     gauss_bonnet,
     girth,
     link,
+    link_condition_check,
     min_eccentricity,
     realizable,
     simplex_complex,
@@ -340,6 +341,20 @@ def test_cat0_override_passes_at_boundary():
     assert rep.verdict == "pass"
     apex = [i for i in rep.items if i.location == "vertex 0"][0]
     assert apex.measured == pytest.approx(TWO_PI, abs=1e-9)
+
+
+def test_link_condition_check_dispatches_by_dimension():
+    t2 = flat_torus2(4)
+    assert link_condition_check(t2) == cat0_two_complex_check(t2)
+    # a clean 3-complex meets only necessary conditions: never a pass
+    assert link_condition_check(flat_torus3(3)).verdict == "inconclusive"
+    # five unit tetrahedra around the edge (0, 1) leave a short link cycle
+    tets = [(0, 1, 2 + i, 2 + (i + 1) % 5) for i in range(5)]
+    c = build_complex(tets)
+    ring = MetricComplex(c, {e: 1.0 for e in c.k_simplices(1)})
+    rep = link_condition_check(ring)
+    assert rep.verdict == "fail"
+    assert [i.location for i in rep.items] == ["edge (0, 1)"]
 
 
 def test_cat0_flat_torus_passes():
