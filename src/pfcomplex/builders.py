@@ -23,6 +23,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .complexes import (
+    Complex,
+    QuotientDegeneracyError,
+    _check_simplicial,
+    _UnionFind,
     build_complex,
     canonical_simplex,
     collapse_core,
@@ -278,12 +282,7 @@ def _double_torus_block(sides, m: int):
     lam0 = (tvid(0, 0, 0), tvid(1, 0, 0), tvid(1, 1, 0))
     both, shift = metric_disjoint_union(torus, torus)
     lam1 = tuple(shift[v] for v in lam0)
-    tri0 = canonical_simplex(lam0)
-    tri1 = canonical_simplex(lam1)
-    pair = ([s for s in faces_of(tri1)],
-            [s for s in faces_of(tri0)],
-            dict(zip(lam1, lam0)))
-    block, vm = metric_quotient(both, [pair])
+    block, vm = metric_quotient(both, [_simplex_pair(lam1, lam0)])
     interface = tuple(vm[v] for v in lam0)
     return block, interface
 
@@ -314,21 +313,15 @@ def glue_double_tori(base: MetricComplex, interfaces, torus_subdivision: int = 3
         sides = (base.length(p0, p1), base.length(p1, p2), base.length(p0, p2))
         key = tuple(round(s, 12) for s in sides)
         if key not in block_cache:
-            block_cache[key] = _double_torus_block(sides, torus_subdivision)
-        block, interface = block_cache[key]
-        nverts = len(block.complex.vertices)
+            block, interface = _double_torus_block(sides, torus_subdivision)
+            block_cache[key] = block, interface, len(block.complex.vertices)
+        block, interface, nverts = block_cache[key]
         for s in block.complex.simplices:
             simplices.add(tuple(v + offset for v in s))
         for (u, v), l in block.lengths.items():
             lengths[edge_key(u + offset, v + offset)] = l
-        lam = tuple(v + offset for v in interface)
-        lam_tri = canonical_simplex(lam)
-        pairs.append(([s for s in faces_of(lam_tri)],
-                      [s for s in faces_of(t)],
-                      dict(zip(lam, t))))
+        pairs.append(_simplex_pair([v + offset for v in interface], t))
         offset += nverts
-
-    from .complexes import Complex
 
     assembled = MetricComplex(Complex(frozenset(simplices), name=name), lengths)
     glued, _ = metric_quotient(assembled, pairs)
@@ -502,12 +495,10 @@ def free_group_complex(n: int) -> MetricComplex:
     k = m // (n - 2)
 
     def pairs_for(shift0, shift1):
-        pairs = []
         # wrap the interior vertical segment at column 0 onto the bottom circle
         seg = [vid(0, 2 + t) for t in range(m + 1)]
         bottom = [vid((t + shift0) % m, 0) for t in range(m)]
-        pairs.append(([(seg[-1],)], [(seg[0],)], {seg[-1]: seg[0]}))
-        pairs.append(_path_onto_cycle_pair(seg, bottom))
+        pairs = _path_onto_cycle_pairs(seg, bottom)
         # identify each short interior segment with its arc on the top circle
         for i in range(1, n - 1):
             col = 2 * i + 1
@@ -515,9 +506,9 @@ def free_group_complex(n: int) -> MetricComplex:
             arc_i = [vid(((i - 1) * k + t + shift1) % m, rows)
                      for t in range(k + 1)]
             if k == m:  # a single arc covering the whole circle wraps too
-                pairs.append(([(seg_i[-1],)], [(seg_i[0],)],
-                              {seg_i[-1]: seg_i[0]}))
-            pairs.append(_segments_pair(seg_i, arc_i))
+                pairs += _path_onto_cycle_pairs(seg_i, arc_i[:-1])
+            else:
+                pairs.append(_segments_pair(seg_i, arc_i))
         return pairs
 
     # the wrapping offsets only rotate the identification; take the first
@@ -546,15 +537,23 @@ def _grid_strip(cols, rows, h, vid):
     return tris, lengths
 
 
-def _path_onto_cycle_pair(path, cycle):
-    """Identification wrapping a closed-up path onto a cycle of equal length."""
+def _simplex_pair(src, dst):
+    """Identification of the faces of one simplex with those of another,
+    matching src[i] with dst[i]."""
+    return (faces_of(canonical_simplex(src)), faces_of(canonical_simplex(dst)),
+            dict(zip(src, dst)))
+
+
+def _path_onto_cycle_pairs(path, cycle):
+    """Identifications closing up a path and wrapping it onto a cycle of
+    equal length."""
     m = len(cycle)
     vmap = {path[t]: cycle[t % m] for t in range(len(path))}
     src = [(v,) for v in path]
     src += [canonical_simplex((path[t], path[t + 1])) for t in range(len(path) - 1)]
     dst = [(v,) for v in cycle]
     dst += [canonical_simplex((cycle[t], cycle[(t + 1) % m])) for t in range(m)]
-    return (src, dst, vmap)
+    return [_simplex_pair(path[-1:], path[:1]), (src, dst, vmap)]
 
 
 def _segments_pair(seg, arc):
@@ -590,8 +589,7 @@ def _moebius_variant() -> MetricComplex:
     def pairs_for(shift):
         boundary = [circle[(t + shift) % len(circle)]
                     for t in range(len(circle))]
-        return [([(seg[-1],)], [(seg[0],)], {seg[-1]: seg[0]}),
-                _path_onto_cycle_pair(seg, boundary)]
+        return _path_onto_cycle_pairs(seg, boundary)
 
     return _first_valid_gluing(mc, lambda s, _unused: pairs_for(s),
                                [(s, 0) for s in range(len(circle))],
@@ -599,8 +597,6 @@ def _moebius_variant() -> MetricComplex:
 
 
 def _first_valid_gluing(mc, pairs_for, candidates, what):
-    from .complexes import QuotientDegeneracyError
-
     for c1, c2 in candidates:
         try:
             glued, _ = metric_quotient(mc, pairs_for(c1, c2))
@@ -756,8 +752,6 @@ def _apply_batch(work, batch):
     interactions between them are resolved by halving the batch.  Dropped
     pairs are rediscovered on the next sweep.
     """
-    from .complexes import QuotientDegeneracyError
-
     while batch:
         try:
             glued, _ = metric_quotient(work, batch)
@@ -829,49 +823,25 @@ def _identification_batch(mc: MetricComplex, frees):
                 break
         if found is None:
             continue
-        vmap = dict(zip(fa, found))
-        batch.append(([s for s in faces_of(fa)],
-                      [s for s in faces_of(canonical_simplex(found))],
-                      vmap))
+        batch.append(_simplex_pair(fa, found))
         claimed |= set(fa) | set(found)
     return batch
 
 
 def _pair_admissible(c, fa, perm) -> bool:
-    """Whether identifying fa with perm keeps the complex simplicial.
-
-    Equivalent to running the quotient validator, but restricted to the
-    simplices meeting the identified vertices; everything else is untouched
-    and cannot degenerate or collide.
-    """
-    cls = {}
-    for v, w in zip(fa, perm):
-        r = min(v, w)
-        cls[v] = r
-        cls[w] = r
-    declared = {}
+    """Whether identifying fa with perm keeps the complex simplicial: the
+    quotient's check, run on the stars of the identified vertices."""
+    vmap = dict(zip(fa, perm))
+    rep = {}
+    for v, w in vmap.items():
+        rep[v] = rep[w] = min(v, w)
+    cells = _UnionFind()
     for f in faces_of(fa):
-        image = tuple(sorted({cls[v] for v in f}))
-        declared[image] = 2  # the face and its partner both map there
-    seen = {}
-    affected = set()
-    for v in list(fa) + list(perm):
-        affected.update(c.vertex_star[v])
-    # acceptance is a pure counting condition, so iteration order is free
-    for s in affected:
-        image = tuple(sorted({cls.get(v, v) for v in s}))
-        if len(image) < len(s):
-            return False
-        prior = seen.get(image)
-        if prior is not None and prior != s:
-            allowance = declared.get(image, 1)
-            if allowance <= 1:
-                return False
-            declared[image] = allowance - 1
-        else:
-            seen[image] = s
-        if image not in affected and image != s and image in c.simplices:
-            return False  # collides with an untouched simplex
+        cells.union(f, tuple(sorted(vmap[v] for v in f)))
+    try:
+        _check_simplicial((s for v in rep for s in c.vertex_star[v]), rep, cells)
+    except QuotientDegeneracyError:
+        return False
     return True
 
 
@@ -939,14 +909,8 @@ def genus_surface(n: int, identify_segments: bool = True) -> MetricComplex:
     for j in range(n):
         for off in (0, 1):  # identify side 4j+off with side 4j+off+2, reversed
             sa, sb = 4 * j + off, 4 * j + off + 2
-            apts = side_points(sa)
-            bpts = list(reversed(side_points(sb)))
-            vmap = dict(zip(apts, bpts))
-            src = [(v,) for v in apts]
-            src += [canonical_simplex(e) for e in zip(apts, apts[1:])]
-            dst = [(v,) for v in bpts]
-            dst += [canonical_simplex(e) for e in zip(bpts, bpts[1:])]
-            pairs.append((src, dst, vmap))
+            pairs.append(_segments_pair(side_points(sa),
+                                        side_points(sb)[::-1]))
     glued, vm = metric_quotient(mc, pairs)
     surface = MetricComplex(glued.complex, glued.lengths)
 
@@ -964,10 +928,8 @@ def genus_surface(n: int, identify_segments: bool = True) -> MetricComplex:
         raise PlacementError(
             f"cannot separate two vertex segments by more than 2*pi "
             f"(arcs {arcs})")
-    e_a, e_b = canonical_simplex((apex, alpha)), canonical_simplex((apex, beta))
-    pair = ([s for s in faces_of(e_a)], [s for s in faces_of(e_b)],
-            {apex: apex, alpha: beta})
-    final, _ = metric_quotient(surface, [pair])
+    final, _ = metric_quotient(surface,
+                               [_simplex_pair((apex, alpha), (apex, beta))])
     return MetricComplex(final.complex, final.lengths)
 
 

@@ -12,6 +12,7 @@ reports are reproducible byte for byte.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
@@ -243,22 +244,25 @@ def collapse_core(c: Complex) -> CollapseResult:
     itself is not canonical.
     """
     cofaces = coface_map(c)
+    # coface counts only fall, so every free face enters the heap once, when
+    # it becomes free; entries removed or left without a coface are skipped
+    heap = [(len(f), f) for f, ts in cofaces.items() if len(ts) == 1]
+    heapq.heapify(heap)
     steps = 0
-    while True:
-        frees = [(len(f), f) for f, ts in cofaces.items() if len(ts) == 1]
-        if not frees:
-            break
-        _, f = min(frees)
+    while heap:
+        _, f = heapq.heappop(heap)
+        if len(cofaces.get(f, ())) != 1:
+            continue
         t = cofaces[f][0]
-        for dead in (f, t):
-            cofaces.pop(dead, None)
+        del cofaces[f], cofaces[t]
         # codim-1 faces of both removed simplices lose one coface each
         for dead in (f, t):
-            if len(dead) < 2:
-                continue
             for sub in combinations(dead, len(dead) - 1):
-                if sub in cofaces:
-                    cofaces[sub] = [x for x in cofaces[sub] if x != dead]
+                rest = cofaces.get(sub)
+                if rest is not None:
+                    rest.remove(dead)
+                    if len(rest) == 1:
+                        heapq.heappush(heap, (len(sub), sub))
         steps += 1
     return CollapseResult(Complex(frozenset(cofaces), name=c.name), steps)
 
@@ -334,14 +338,17 @@ def quotient(c: Complex, pairs: Sequence) -> QuotientResult:
     target (a mapping error otherwise).  After merging vertex classes the
     result is checked to still be simplicial: no simplex may degenerate, and
     two distinct simplices may land on the same vertex set only if the
-    declared identifications actually relate them.  Vertex ids of the result
-    are renumbered densely; the old-to-new map is returned alongside.
+    declared identifications actually relate them.  Only simplices meeting a
+    merged vertex are checked: every other simplex keeps its own vertex set,
+    and the image of a checked simplex contains a merged class, so neither
+    can degenerate or collide with an unchecked one.  The first failure in
+    (length, lexicographic) order is raised.  Vertex ids of the result are
+    renumbered densely; the old-to-new map is returned alongside.
     """
     pairs = [_normalize_pair(c, p) for p in pairs]
+    vertices = c.vertices
     verts = _UnionFind()
     cells = _UnionFind()
-    for v in c.vertices:
-        verts.find(v)
 
     for src, dst, vmap in pairs:
         dst_set = set(dst)
@@ -364,30 +371,50 @@ def quotient(c: Complex, pairs: Sequence) -> QuotientResult:
         for v, w in vmap.items():
             verts.union(v, w)
 
-    # dense renumbering by sorted class representatives
-    reps = sorted({verts.find(v) for v in c.vertices})
+    # each merged vertex, representatives included, to its representative;
+    # the dense renumbering of the representatives preserves order, so
+    # relabelled vertex tuples stay sorted
+    rep = {v: r for v in vertices if (r := verts.find(v)) != v}
+    rep.update((r, r) for r in set(rep.values()))
+    reps = sorted({rep.get(v, v) for v in vertices})
     rep_to_new = {r: i for i, r in enumerate(reps)}
-    vertex_map = {v: rep_to_new[verts.find(v)] for v in c.vertices}
+    vertex_map = {v: rep_to_new[rep.get(v, v)] for v in vertices}
 
-    image_of = {}
-    for s in sorted(c.simplices, key=_sort_key):
-        img = tuple(sorted({vertex_map[v] for v in s}))
+    out = set()
+    touched = []
+    for s in c.simplices:
+        if rep.keys().isdisjoint(s):
+            out.add(tuple(vertex_map[v] for v in s))
+        else:
+            touched.append(s)
+    touched.sort(key=_sort_key)
+    images = _check_simplicial(touched, rep, cells)
+    out.update(tuple(rep_to_new[r] for r in img) for img in images)
+    return QuotientResult(Complex(frozenset(out), name=c.name), vertex_map)
+
+
+def _check_simplicial(affected, rep, related) -> dict:
+    """Image of each affected simplex once merged vertices meet their class.
+
+    affected holds the simplices meeting a merged vertex, rep sends each
+    merged vertex to its class representative, and related is the union-find
+    of the declared cell identifications.  Raises QuotientDegeneracyError at
+    the first simplex, in the order given, whose image degenerates or lands
+    on the image of an earlier one it is not identified with.  Returns each
+    image mapped to the first simplex landing on it.
+    """
+    images = {}
+    for s in affected:
+        img = tuple(sorted({rep.get(v, v) for v in s}))
         if len(img) != len(s):
             raise QuotientDegeneracyError(
                 f"simplex {s} degenerates to {img} in the quotient", witness=s)
-        image_of.setdefault(img, []).append(s)
-
-    for img, originals in image_of.items():
-        if len(originals) == 1:
-            continue
-        root = cells.find(originals[0])
-        for other in originals[1:]:
-            if cells.find(other) != root:
-                raise QuotientDegeneracyError(
-                    f"distinct simplices {originals[0]} and {other} collide on "
-                    f"{img} without being identified", witness=(originals[0], other))
-
-    return QuotientResult(Complex(frozenset(image_of), name=c.name), vertex_map)
+        first = images.setdefault(img, s)
+        if first != s and related.find(first) != related.find(s):
+            raise QuotientDegeneracyError(
+                f"distinct simplices {first} and {s} collide on {img} "
+                f"without being identified", witness=(first, s))
+    return images
 
 
 def disjoint_union(a: Complex, b: Complex) -> tuple[Complex, dict]:

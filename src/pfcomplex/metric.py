@@ -522,8 +522,7 @@ def extendability_check(mc: MetricComplex) -> CheckReport:
     Passes when the complex has no free faces and every vertex link has
     minimal eccentricity at least pi (each incoming direction sees an
     outgoing one at angular distance >= pi).  The eccentricity side is
-    evaluated exactly, so the verdict is decisive; inconclusive is reserved
-    for the sampling fallback of callers supplying their own bounds.
+    evaluated exactly, so the verdict is decisive.
     """
     if mc.complex.dim > 2:
         raise DimensionError(

@@ -1,6 +1,7 @@
 """Combinatorial layer: closures, links, free faces, collapses, quotients."""
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -17,7 +18,8 @@ from pfcomplex import (
     quotient,
     star,
 )
-from pfcomplex.complexes import canonical_simplex, faces_of
+from pfcomplex.builders import _pair_admissible, _simplex_pair, box_complex
+from pfcomplex.complexes import canonical_simplex, coface_map, faces_of
 
 
 def random_complex(rng, n_vertices=8, n_generators=6, max_dim=3):
@@ -122,6 +124,37 @@ def test_collapse_preserves_euler():
         assert not free_faces(core)
 
 
+def rescan_collapse(c):
+    """Reference collapse: rescan every simplex for the smallest free face
+    before each step."""
+    cofaces = coface_map(c)
+    steps = 0
+    while True:
+        frees = [(len(f), f) for f, ts in cofaces.items() if len(ts) == 1]
+        if not frees:
+            return frozenset(cofaces), steps
+        _, f = min(frees)
+        t = cofaces[f][0]
+        for dead in (f, t):
+            cofaces.pop(dead, None)
+        for dead in (f, t):
+            if len(dead) < 2:
+                continue
+            for sub in combinations(dead, len(dead) - 1):
+                if sub in cofaces:
+                    cofaces[sub] = [x for x in cofaces[sub] if x != dead]
+        steps += 1
+
+
+def test_collapse_matches_rescan_reference():
+    rng = random.Random(5)
+    cases = [random_complex(rng, n_vertices=9, n_generators=8) for _ in range(60)]
+    cases += [box_complex(*dims).complex for dims in [(1, 1, 1), (2, 2, 1), (3, 2, 2)]]
+    for c in cases:
+        core, steps = collapse_core(c)
+        assert (core.simplices, steps) == rescan_collapse(c)
+
+
 def test_euler_characteristic_values():
     assert euler_characteristic(build_complex([(0, 1, 2, 3)])) == 1
     sphere = build_complex([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
@@ -170,3 +203,95 @@ def test_quotient_validates_target_membership():
 def test_facets():
     c = build_complex([(0, 1, 2), (2, 3)])
     assert c.facets() == [(2, 3), (0, 1, 2)]
+
+
+def test_quotient_rejects_undeclared_collision():
+    c = build_complex([(0, 1, 2), (1, 2, 3)])
+    # merging 0 with 3 alone sends the edges (0,1) and (1,3) onto one edge
+    with pytest.raises(QuotientDegeneracyError) as err:
+        quotient(c, [([(0,)], [(3,)], {0: 3})])
+    assert err.value.witness == ((0, 1), (1, 3))
+    # declaring the whole triangle identification makes the same merge valid
+    res = quotient(c, [(faces_of((0, 1, 2)), faces_of((1, 2, 3)),
+                        {0: 3, 1: 1, 2: 2})])
+    assert res.complex.simplices == build_complex([(0, 1, 2)]).simplices
+    assert res.vertex_map == {0: 0, 1: 1, 2: 2, 3: 0}
+
+
+def brute_quotient(c, pairs):
+    """Global reference validator: image every simplex of c.
+
+    Returns (simplices, vertex_map) of the quotient, or None when some
+    simplex degenerates or two simplices share an image without a declared
+    identification relating them.
+    """
+    label = {v: v for v in c.vertices}
+    group = {s: s for s in c.simplices}
+
+    def merge(table, a, b):
+        keep, drop = sorted((table[a], table[b]))
+        for k, x in table.items():
+            if x == drop:
+                table[k] = keep
+
+    for src, _, vmap in pairs:
+        for s in src:
+            merge(group, s, tuple(sorted(vmap[v] for v in s)))
+        for v, w in vmap.items():
+            merge(label, v, w)
+    owner = {}
+    for s in c.simplices:
+        img = tuple(sorted({label[v] for v in s}))
+        if len(img) != len(s):
+            return None
+        if group[owner.setdefault(img, s)] != group[s]:
+            return None
+    dense = {x: i for i, x in enumerate(sorted(set(label.values())))}
+    return ({tuple(dense[x] for x in img) for img in owner},
+            {v: dense[label[v]] for v in c.vertices})
+
+
+def random_simplex_pair(rng, c):
+    """Faces of one random simplex onto faces of another of its dimension,
+    the vertices matched in a random order."""
+    a = rng.choice(sorted(c.simplices))
+    b = rng.choice(c.k_simplices(len(a) - 1))
+    return (faces_of(a), faces_of(b), dict(zip(a, rng.sample(b, len(b)))))
+
+
+def test_quotient_matches_global_validator():
+    rng = random.Random(17)
+    verdicts = set()
+    for _ in range(400):
+        c = random_complex(rng, n_vertices=rng.randint(4, 9),
+                           n_generators=rng.randint(2, 7))
+        pairs = [random_simplex_pair(rng, c) for _ in range(rng.randint(1, 3))]
+        expected = brute_quotient(c, pairs)
+        verdicts.add(expected is None)
+        if expected is None:
+            with pytest.raises(QuotientDegeneracyError):
+                quotient(c, pairs)
+        else:
+            res = quotient(c, pairs)
+            assert (set(res.complex.simplices), res.vertex_map) == expected
+    assert verdicts == {True, False}
+
+
+def test_gcify_candidate_check_matches_quotient():
+    rng = random.Random(29)
+    verdicts = set()
+    for _ in range(300):
+        c = random_complex(rng, n_vertices=10, n_generators=6)
+        fa = rng.choice(sorted(c.simplices))
+        partners = [s for s in c.k_simplices(len(fa) - 1) if not set(s) & set(fa)]
+        if not partners:
+            continue
+        perm = tuple(rng.sample(rng.choice(partners), len(fa)))
+        try:
+            quotient(c, [_simplex_pair(fa, perm)])
+            accepted = True
+        except QuotientDegeneracyError:
+            accepted = False
+        assert _pair_admissible(c, fa, perm) == accepted
+        verdicts.add(accepted)
+    assert verdicts == {True, False}
