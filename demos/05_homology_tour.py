@@ -1,9 +1,10 @@
 """
 A short homology tour: flat tori, torsion, relative pairs, local homology.
 
-Under the hood a Morse pairing first strips cells whose restricted boundary
-or coboundary is a single unit cell, and the surviving core goes through
-exact integer Smith reduction, so ranks and torsion come out exact.  GF(2)
+Under the hood coreduction first pairs each cell that has a single working
+face with that face, keeping the exact boundary of the cells it leaves
+critical, and those critical cells go through integer Smith reduction, so
+ranks and torsion come out exact.  GF(2)
 ranks follow from the integer invariant factors: each even one adds a rank
 mod 2 in two adjacent degrees, as the projective plane below shows.
 """

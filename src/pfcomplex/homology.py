@@ -7,16 +7,23 @@ Betti numbers come from one exact computation, the Smith normal form with
 arbitrary-precision integers.  GF(2) ranks follow from it by the universal
 coefficient theorem: an invariant factor stays a unit mod 2 unless it is
 even.  To keep the torus-gluing fixtures (hundreds of thousands of cells)
-inside a desk-scale time budget, rank computation is preceded by a
-homology-preserving Morse pairing pass that strips cells whose restricted
-boundary or coboundary is a single unit-coefficient cell; everything the
-pairing cannot remove goes through the Smith reduction unchanged.
+inside a desk-scale time budget, rank computation runs on a Morse complex:
+coreduction (Mrozek & Batko) on integer cell ids pairs each cell that has a
+single working face with that face and carries the boundary of the
+critical cells exactly, as in Harker, Mischaikow, Mrozek & Nanda.  Only the
+critical cells, usually as many as the Betti numbers need, go through the
+Smith reduction.
 """
 
 from __future__ import annotations
 
+import heapq
+from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from math import gcd
+
+import numpy as np
 
 from .complexes import (
     Complex,
@@ -68,8 +75,6 @@ class ChainMatrix:
     entries: dict        # (row_index, col_index) -> nonzero coefficient
 
     def dense(self):
-        import numpy as np
-
         m = np.zeros((len(self.rows), len(self.cols)), dtype=np.int64)
         for (i, j), v in self.entries.items():
             m[i, j] = v
@@ -79,30 +84,10 @@ class ChainMatrix:
         """Entries of self @ other (used to verify that boundaries square to zero)."""
         if self.cols != other.rows:
             raise ValueError("chain matrices are not composable")
-        by_col = {}
-        for (i, j), v in other.entries.items():
-            by_col.setdefault(j, []).append((i, v))
-        out = {}
-        left_by_col = {}
-        for (i, j), v in self.entries.items():
-            left_by_col.setdefault(j, {})[i] = v
-        for j, pairs in by_col.items():
-            acc = {}
-            for mid, v in pairs:
-                for i, w in left_by_col.get(mid, {}).items():
-                    acc[i] = acc.get(i, 0) + v * w
-            for i, total in acc.items():
-                total = total % 2 if self.ring == RING_GF2 else total
-                if total:
-                    out[(i, j)] = total
-        return out
-
-
-def boundary_coefficients(simplex, ring: str):
-    """Faces of a simplex with their boundary coefficients."""
-    return [(simplex[:i] + simplex[i + 1:],
-             1 if (ring == RING_GF2 or i % 2 == 0) else -1)
-            for i in range(len(simplex))]
+        prod = self.dense() @ other.dense()
+        if self.ring == RING_GF2:
+            prod %= 2
+        return {(i, j): int(v) for (i, j), v in np.ndenumerate(prod) if v}
 
 
 def boundary_matrix(c: Complex, k: int, ring: str = RING_Z) -> ChainMatrix:
@@ -113,36 +98,117 @@ def boundary_matrix(c: Complex, k: int, ring: str = RING_Z) -> ChainMatrix:
     rows = tuple(c.k_simplices(k - 1))
     cols = tuple(c.k_simplices(k))
     row_index = {s: i for i, s in enumerate(rows)}
-    entries = {}
-    for j, s in enumerate(cols):
-        for face, coeff in boundary_coefficients(s, ring):
-            entries[(row_index[face], j)] = coeff
+    entries = {(row_index[s[:i] + s[i + 1:]], j): -1 if ring == RING_Z and i % 2 else 1
+               for j, s in enumerate(cols) for i in range(len(s))}
     return ChainMatrix(ring, rows, cols, entries)
 
 
 # ---------------------------------------------------------------------------
-# Morse pairing: remove (cell, coface) pairs that provably do not change
-# homology, so only a small core reaches the matrix algorithms.
+# Coreduction: pair off cells that provably do not change homology and keep
+# the boundary of the rest, so only a small Morse complex reaches the matrix
+# algorithms.
 
 
-def _restricted_boundaries(cells, excluded):
-    """Integer boundary and coboundary adjacency restricted to `cells`.
+def _cell_faces(c: Complex, excluded):
+    """Integer ids for the cells, in (length, lexicographic) order.
 
-    Boundaries carry coefficients; coboundaries are index sets only.
+    Returns the face ids of every cell (face i drops vertex i, so its
+    coefficient is (-1)**i), the cofaces in CSR form (`cob[ptr[f]:ptr[f+1]]`),
+    the first id of each dimension, a state byte per cell (2 for the cells of
+    `excluded`, else 0) and the number of faces outside `excluded`.
     """
-    bnd = {}
-    cob = {s: set() for s in cells}
-    cellset = cells if isinstance(cells, set) else set(cells)
-    for s in cellset:
-        b = {}
-        if len(s) > 1:
-            for face, coeff in boundary_coefficients(s, RING_Z):
-                if face in cellset and face not in excluded:
-                    b[face] = coeff
-        bnd[s] = b
-        for face in b:
-            cob[face].add(s)
-    return bnd, cob
+    by_len = {}
+    for s in c.simplices:
+        by_len.setdefault(len(s), []).append(s)
+    verts = np.array(sorted(v for v, in by_len[1]))
+    keys = [np.arange(len(verts))]  # sorted lexicographic keys per dimension
+    masks = [np.array([(v,) in excluded for v in verts.tolist()], dtype=bool)]
+
+    def key(k, ranks):  # rows of vertex ranks -> lexicographic keys
+        return ranks[:, 0] * len(keys[k - 1]) + ids(k - 1, ranks[:, 1:])
+
+    def ids(k, ranks):  # rows of vertex ranks -> ids among the k-simplices
+        return np.searchsorted(keys[k], key(k, ranks)) if k else ranks[:, 0]
+
+    blocks, offsets = [np.zeros((len(verts), 0), dtype=np.int64)], [0, len(verts)]
+    for k in range(1, max(by_len)):
+        cells = by_len[k + 1]
+        ranks = np.searchsorted(verts, np.fromiter(
+            chain.from_iterable(cells), np.int64, len(cells) * (k + 1))).reshape(-1, k + 1)
+        lex = key(k, ranks)
+        order = np.argsort(lex)
+        ranks = ranks[order]
+        keys.append(lex[order])
+        masks.append(np.fromiter(map(excluded.__contains__, cells), bool, len(cells))[order])
+        blocks.append(np.stack([ids(k - 1, np.delete(ranks, i, axis=1))
+                                for i in range(k + 1)], axis=1) + offsets[k - 1])
+        offsets.append(offsets[k] + len(cells))
+    state = np.concatenate(masks).astype(np.uint8) * 2
+    face_ids = np.concatenate([f.ravel() for f in blocks])
+    owners = np.concatenate([np.repeat(np.arange(lo, hi), f.shape[1])
+                             for f, lo, hi in zip(blocks, offsets, offsets[1:])])
+    ptr = np.bincount(face_ids, minlength=offsets[-1]).cumsum()
+    return ([row for f in blocks for row in f.tolist()],
+            owners[np.argsort(face_ids, kind="stable")].tolist(), [0] + ptr.tolist(),
+            offsets, state, np.concatenate([(state[f] == 0).sum(axis=1) for f in blocks]))
+
+
+def _morse_core(c: Complex, excluded) -> list[dict]:
+    """Critical cells left by coreduction, with their Morse boundaries.
+
+    Returns one dict per dimension, critical cell id -> {face id: coeff}.
+    The cells of `excluded` are left out of the chain complex.  A working
+    cell `t` whose boundary has one working face `f` is paired with it:
+    every other coface `u` of `f` takes `d(u) -= d(u)[f] * d(t)[f] * d(t)`.
+    Since the rest of `d(t)` is critical, the pivot is a unit and fill-in
+    lands only on critical cells, so the reduction is exact over Z.  When no
+    pair is left, the first working cell in (length, lex) order, which has
+    no working faces, becomes critical (an ace).
+    """
+    faces, cob, ptr, offsets, state, n_work = _cell_faces(c, excluded)
+    queue = deque(np.flatnonzero((state == 0) & (n_work == 1)).tolist())
+    state = bytearray(state)  # 0 working, 1 critical, 2 paired or excluded
+    n_work = n_work.tolist()
+    crit = {}  # cell id -> critical part of its boundary
+
+    def retire(s, fill):
+        # s leaves the working cells: each working coface u loses a working
+        # face and takes d(u)[s] * fill into the critical part of d(u)
+        for u in cob[ptr[s]:ptr[s + 1]]:
+            if state[u]:
+                continue
+            if fill:
+                sign = -1 if faces[u].index(s) % 2 else 1
+                bu = crit.setdefault(u, {})
+                for x, v in fill.items():
+                    bu[x] = bu.get(x, 0) + sign * v
+                    if not bu[x]:
+                        del bu[x]
+            n_work[u] -= 1
+            if n_work[u] == 1:
+                queue.append(u)
+
+    def drain():
+        while queue:
+            t = queue.popleft()
+            if state[t] or n_work[t] != 1:
+                continue
+            i = next(i for i, f in enumerate(faces[t]) if not state[f])
+            f = faces[t][i]
+            state[t] = state[f] = 2
+            crit.pop(f, None)
+            bt = crit.pop(t, {})
+            retire(f, {x: (-1) ** (i + 1) * v for x, v in bt.items()})  # -d(t)[f] d(t)
+            retire(t, None)
+
+    drain()
+    for ace in range(len(state)):
+        if not state[ace]:
+            state[ace] = 1
+            retire(ace, {ace: 1})
+            drain()
+    return [{a: crit.get(a, {}) for a in range(lo, hi) if state[a] == 1}
+            for lo, hi in zip(offsets, offsets[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +289,6 @@ def _eliminate_integer(columns):
     Pivot columns are chosen smallest-first through a lazy heap, which keeps
     fill-in low on boundary matrices.
     """
-    import heapq
-
     cols = {k: dict(v) for k, v in columns.items() if v}
     rows = {}
     for ck, col in cols.items():
@@ -314,14 +378,13 @@ class BettiVector:
         return sum((-1) ** k * b for k, b in enumerate(self.ranks))
 
 
-def _components(c: Complex) -> list[set]:
-    classes = _UnionFind()
-    for a, b in c.k_simplices(1):
-        classes.union(a, b)
-    comps = {}
-    for v in c.vertices:
-        comps.setdefault(classes.find(v), set()).add(v)
-    return list(comps.values())
+def _base_vertices(c: Complex) -> set:
+    """The least vertex of each connected component, as 0-simplices."""
+    classes = _UnionFind()  # keeps the least vertex of a class as its root
+    for s in c.simplices:
+        if len(s) <= 2:
+            classes.union(s[0], s[-1])
+    return {(classes.find(v),) for v in classes.parent}
 
 
 def betti(c: Complex, ring: str = RING_Z, relative_to: Complex | None = None) -> BettiVector:
@@ -331,41 +394,26 @@ def betti(c: Complex, ring: str = RING_Z, relative_to: Complex | None = None) ->
     (quotient basis), with boundaries restricted accordingly.
     """
     ring = _ring(ring)
-    if c.dim < 0:
+    dim = c.dim
+    if dim < 0:
         return BettiVector((), (), ring)
     if relative_to is not None:
         for s in relative_to.simplices:
             if s not in c.simplices:
                 raise ContainmentError(f"relative subcomplex contains {s}, not in complex")
-        cells = set(c.simplices) - set(relative_to.simplices)
+        excluded = relative_to.simplices
         b0_bonus = 0
-        if not cells:
-            return BettiVector((0,) * (c.dim + 1), ((),) * (c.dim + 1), ring)
-        excluded = set(relative_to.simplices)
     else:
-        cells = set(c.simplices)
-        excluded = set()
         # one seed vertex per component shifts the computation to reduced
         # homology; add the components back to b_0 at the end
-        comps = _components(c)
-        b0_bonus = len(comps)
-        for comp in comps:
-            cells.discard((min(comp),))
+        excluded = _base_vertices(c)
+        b0_bonus = len(excluded)
 
-    alive, core_bnd = _morse_pairing_relative(cells, excluded)
-
-    dim = c.dim
-    n_alive = [0] * (dim + 1)
-    for s in alive:
-        n_alive[len(s) - 1] += 1
-
+    core = _morse_core(c, excluded)
     ranks_of_boundary = [0] * (dim + 2)
     torsion_of_boundary: list[tuple] = [()] * (dim + 2)
     for k in range(1, dim + 1):
-        columns = {s: core_bnd[s] for s in alive if len(s) - 1 == k}
-        if not columns:
-            continue
-        rank, leftover = _eliminate_integer(columns)
+        rank, leftover = _eliminate_integer(core[k])
         if ring == RING_GF2:
             # universal coefficients: a diagonal entry survives mod 2 unless
             # it is even, and any diagonal form has as many even entries as
@@ -374,61 +422,11 @@ def betti(c: Complex, ring: str = RING_Z, relative_to: Complex | None = None) ->
         ranks_of_boundary[k] = rank + len(leftover)
         torsion_of_boundary[k] = _normalize_factors(leftover)
 
-    ranks = [n_alive[k] - ranks_of_boundary[k] - ranks_of_boundary[k + 1]
+    ranks = [len(core[k]) - ranks_of_boundary[k] - ranks_of_boundary[k + 1]
              for k in range(dim + 1)]
     ranks[0] += b0_bonus
     torsion = torsion_of_boundary[1:] if ring == RING_Z else [()] * (dim + 1)
     return BettiVector(tuple(ranks), tuple(torsion), ring)
-
-
-def _morse_pairing_relative(cells, excluded):
-    """Morse pairing over a restricted (possibly relative) cell set.
-
-    Every boundary coefficient is +-1, so the pairs are the same over any
-    ring.
-    """
-    bnd, cob = _restricted_boundaries(cells, excluded)
-    alive = set(cells)
-    queue = sorted(alive, key=lambda s: (len(s), s), reverse=True)
-    in_queue = set(queue)
-
-    def enqueue(s):
-        if s in alive and s not in in_queue:
-            queue.append(s)
-            in_queue.add(s)
-
-    def drop_pair(low, high):
-        alive.discard(low)
-        alive.discard(high)
-        in_queue.discard(low)
-        in_queue.discard(high)
-        for s in (low, high):
-            for face in bnd[s]:
-                if face in alive:
-                    cob[face].discard(s)
-                    enqueue(face)
-            for up in cob[s]:
-                if up in alive:
-                    bnd[up].pop(s, None)
-                    enqueue(up)
-
-    while queue:
-        s = queue.pop()
-        in_queue.discard(s)
-        if s not in alive:
-            continue
-        live_bnd = bnd[s]
-        if len(live_bnd) == 1:
-            (face, coeff), = live_bnd.items()
-            if face in alive and abs(coeff) == 1:
-                drop_pair(face, s)
-                continue
-        live_cob = [t for t in cob[s] if t in alive]
-        if len(live_cob) == 1 and abs(bnd[live_cob[0]].get(s, 0)) == 1:
-            drop_pair(s, live_cob[0])
-
-    core_bnd = {s: {f: v for f, v in bnd[s].items() if f in alive} for s in alive}
-    return alive, core_bnd
 
 
 def local_homology(c: Complex, v: int, ring: str = RING_Z) -> BettiVector:

@@ -11,14 +11,21 @@ from pfcomplex import (
     build_complex,
     collapse_core,
     euler_characteristic,
+    example_complex,
     flat_torus3,
     free_faces,
+    genus_surface,
     house_with_two_rooms,
     local_homology,
     quotient,
     solid_chain_check,
 )
-from pfcomplex.homology import ContainmentError, RangeError
+from pfcomplex.homology import (
+    ContainmentError,
+    RangeError,
+    _base_vertices,
+    _morse_core,
+)
 
 
 # --- independent oracle: dense Smith normal form, no shortcuts ------------
@@ -347,6 +354,54 @@ def test_gf2_betti_counts_only_even_torsion(n, gf2_ranks):
     assert betti(x, "z").torsion == ((), (n,), ())
     assert betti_gf2_oracle(x) == gf2_ranks
     assert betti(x, "z2").ranks == gf2_ranks
+
+
+# --- coreduction: the critical cells against the oracles ------------------
+
+def critical_counts(c, relative_to=None):
+    """Critical cells per dimension left by coreduction."""
+    excluded = _base_vertices(c) if relative_to is None else relative_to.simplices
+    return [len(cells) for cells in _morse_core(c, excluded)]
+
+
+def assert_matches_oracles(c, relative_to=None):
+    ranks, torsion = betti_oracle(c, relative_to)
+    bz = betti(c, "z", relative_to=relative_to)
+    assert bz.ranks == ranks
+    assert bz.torsion == tuple(tuple(sorted(t)) for t in torsion)
+    assert betti(c, "z2", relative_to=relative_to).ranks == \
+        betti_gf2_oracle(c, relative_to)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_coreduction_matches_oracles_on_wrapped_disks(n):
+    x = wrapped_disk(n)
+    circle = build_complex([(0, 1), (1, 2), (0, 2)])  # the 3-cycle wrapped onto
+    assert circle.simplices <= x.simplices
+    assert critical_counts(x) == [0, 1, 1]
+    assert_matches_oracles(x)
+    assert_matches_oracles(x, relative_to=circle)
+    assert betti(x, "z", relative_to=circle).ranks == (0, 0, 1)
+
+
+@pytest.mark.parametrize("name", ["genus2", "house"])
+def test_coreduction_matches_oracles_with_aces_in_several_degrees(name):
+    c = (genus_surface(2) if name == "genus2" else house_with_two_rooms()).complex
+    assert sum(1 for k in critical_counts(c) if k) >= 2
+    assert_matches_oracles(c)
+
+
+@pytest.mark.parametrize("name, size", [
+    ("torus3", 7), ("genus3", 7), ("example1", 42)])
+def test_morse_core_has_reduced_betti_sum_cells(name, size):
+    c = {"torus3": lambda: flat_torus3(3),
+         "genus3": lambda: genus_surface(3),
+         "example1": lambda: example_complex("example1")}[name]().complex
+    assert sum(critical_counts(c)) == size == sum(betti(c).ranks) - 1
+
+
+def test_morse_core_of_house_is_small():
+    assert sum(critical_counts(house_with_two_rooms().complex)) <= 4
 
 
 def test_relative_containment_error():
