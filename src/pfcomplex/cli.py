@@ -244,7 +244,7 @@ def run_command(argv, out=None) -> int:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except (OSError, ValueError, metric.MetricError,
-            complexes.ComplexError) as e:
+            complexes.ComplexError, builders.PlacementError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

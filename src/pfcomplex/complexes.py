@@ -99,9 +99,9 @@ class Complex:
     def __contains__(self, s) -> bool:
         return tuple(s) in self.simplices
 
-    @property
+    @cached_property
     def dim(self) -> int:
-        """Max simplex dimension; -1 for the empty complex."""
+        """Max simplex dimension; -1 for the empty complex.  Cached."""
         if not self.simplices:
             return -1
         return max(len(s) for s in self.simplices) - 1

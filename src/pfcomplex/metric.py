@@ -95,43 +95,47 @@ class MetricComplex:
 # flat realizability
 
 
-def _cayley_menger_det(d2: np.ndarray) -> float:
-    n = d2.shape[0]
-    m = np.ones((n + 1, n + 1))
-    m[0, 0] = 0.0
-    m[1:, 1:] = d2
-    return float(np.linalg.det(m))
+def _realizable_rows(lengths: np.ndarray, dim: int,
+                     eps: float = EPS_CM) -> np.ndarray:
+    """Flat realizability of N dim-simplices, one per row of lengths.
+
+    `lengths` has shape (N, C(dim+1, 2)), each row in canonical vertex-pair
+    order.  On every face of m >= 3 vertices the Cayley-Menger determinant
+    must have sign (-1)^m and magnitude above eps * scale^(m-1), where scale
+    is the largest squared edge of the whole simplex; one determinant call
+    per face pattern covers all N rows.  Rows whose squares or tolerances
+    overflow float64 are rejected.
+    """
+    n = dim + 1
+    i, j = np.triu_indices(n, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cm = np.ones((len(lengths), n + 1, n + 1))
+        cm[:, range(n + 1), range(n + 1)] = 0.0
+        cm[:, i + 1, j + 1] = cm[:, j + 1, i + 1] = lengths * lengths
+        scale = cm[:, 1:, 1:].max(axis=(1, 2))
+        ok = (scale > 0) & ((lengths > 0) & (lengths < math.inf)).all(axis=1)
+        for m in range(3, n + 1):
+            sign = -1 if m % 2 else 1
+            tol = eps * scale ** (m - 1)
+            for subset in combinations(range(1, n + 1), m):
+                idx = np.array([0, *subset])
+                ok &= sign * np.linalg.det(cm[:, idx[:, None], idx]) > tol
+    return ok
 
 
 def realizable(edge_lengths: list, dim: int, eps: float = EPS_CM) -> bool:
     """Whether a flat nondegenerate simplex with these edge lengths exists.
 
-    Lengths are given in canonical vertex-pair order, C(dim+1, 2) of them.
-    The test checks the Cayley-Menger sign pattern on every face: the
-    determinant on m points must have sign (-1)^m and magnitude above the
-    (scale-normalized) tolerance.
+    Lengths are given in canonical vertex-pair order, C(dim+1, 2) of them;
+    the test is that of :func:`_realizable_rows` on one row.
     """
-    n = dim + 1
-    pairs = list(combinations(range(n), 2))
-    if len(edge_lengths) != len(pairs):
+    npairs = dim * (dim + 1) // 2
+    if len(edge_lengths) != npairs:
         raise ArityError(
-            f"expected {len(pairs)} edge lengths for a {dim}-simplex, "
+            f"expected {npairs} edge lengths for a {dim}-simplex, "
             f"got {len(edge_lengths)}")
-    if not all(0 < l < math.inf for l in edge_lengths):
-        return False  # nonpositive, infinite or nan
-    d2 = np.zeros((n, n))
-    for (i, j), l in zip(pairs, edge_lengths):
-        d2[i, j] = d2[j, i] = l * l
-    scale = float(d2.max())
-    if scale == 0.0:
-        return False
-    for m in range(3, n + 1):
-        for subset in combinations(range(n), m):
-            det = _cayley_menger_det(d2[np.ix_(subset, subset)])
-            sign = -1 if m % 2 else 1
-            if sign * det <= eps * scale ** (m - 1):
-                return False
-    return True
+    row = np.asarray(edge_lengths, dtype=float).reshape(1, npairs)
+    return bool(_realizable_rows(row, dim, eps)[0])
 
 
 def corner_angle(a: float, b: float, c: float) -> float:
@@ -197,9 +201,14 @@ def validate_metric(mc: MetricComplex, eps: float = EPS_CM) -> None:
         if not 0 < l < math.inf:
             raise MetricError(f"edge {e} has length {l}, not finite positive")
     for k in range(2, mc.complex.dim + 1):
-        for s in mc.complex.k_simplices(k):
-            if not realizable(mc.simplex_lengths(s), k, eps):
-                raise MetricError(f"simplex {s} is not flatly realizable")
+        simplices = mc.complex.k_simplices(k)
+        lengths = np.array([mc.lengths.get(e, math.nan) for s in simplices
+                            for e in combinations(s, 2)], dtype=float)
+        shape = (len(simplices), k * (k + 1) // 2)
+        bad = np.flatnonzero(~_realizable_rows(lengths.reshape(shape), k, eps))
+        if bad.size:
+            raise MetricError(
+                f"simplex {simplices[bad[0]]} is not flatly realizable")
 
 
 def angle_sum_at_vertex(mc: MetricComplex, v: int) -> float:

@@ -236,8 +236,13 @@ def test_usage_errors_exit_2():
      "pfc 1\ndim 2\nvertices 3\ns 0 1 2\n"),
     (["check", "free-faces", "{}"], "pfc 1\ndim 1\nvertices 2\ns -1 0\n"),
     (["homology", fixture("house.pfc"), "--local", "999"], None),
+    # every face passes on its own, the tetrahedron does not
+    (["check", "link-cat0", "{}"],
+     "pfc 1\ndim 3\nvertices 4\ns 0 1 2 3\nl 0 1 1.0\nl 0 2 0.500001\n"
+     "l 0 3 8.021221852\nl 1 2 0.500001\nl 1 3 8.046117076\n"
+     "l 2 3 8.018042217\n"),
 ], ids=["link-cat0-no-lengths", "extendability-no-lengths",
-        "negative-vertex", "local-missing-vertex"])
+        "negative-vertex", "local-missing-vertex", "thin-face-tetrahedron"])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, doc):
     if doc is not None:
         path = tmp_path / "in.pfc"
@@ -248,3 +253,17 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, doc):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_gcify_placement_failure_exits_2_with_one_line(monkeypatch, capsys):
+    from pfcomplex import builders
+
+    def exhausted(mc):
+        raise builders.PlacementError("no admissible pair left")
+
+    monkeypatch.setattr(builders, "gcify", exhausted)
+    code, out = run(["build", "gcify", fixture("house.pfc")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert out == ""
+    assert err == "error: no admissible pair left\n"

@@ -42,6 +42,14 @@ def test_empty_complex():
     assert euler_characteristic(c) == 0
 
 
+def test_dim_is_computed_once_per_complex():
+    c = build_complex([(0, 1, 2), (2, 3)])
+    assert "dim" not in vars(c)
+    assert c.dim == 2
+    assert vars(c)["dim"] == 2
+    assert c == build_complex([(0, 1, 2), (2, 3)])
+
+
 def test_triangle_boundary():
     c = build_complex([(0, 1), (1, 2), (0, 2)])
     assert len(c) == 6

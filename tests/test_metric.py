@@ -3,7 +3,9 @@
 import itertools
 import math
 import random
+from itertools import combinations
 
+import numpy as np
 import pytest
 
 from pfcomplex import (
@@ -35,6 +37,8 @@ from pfcomplex import (
     vertex_link_graph,
 )
 from pfcomplex.metric import (
+    EPS_CM,
+    ArityError,
     DomainError,
     _adjacency,
     _dijkstra,
@@ -64,6 +68,76 @@ def brute_force_girth(g):
     for start in g.nodes:
         extend(start, start, {start}, frozenset(), 0.0)
     return best[0]
+
+
+# The per-face-subset test that metric._realizable_rows replaced, kept
+# verbatim as a reference independent of the batched kernel.
+
+def _cayley_menger_det(d2: np.ndarray) -> float:
+    n = d2.shape[0]
+    m = np.ones((n + 1, n + 1))
+    m[0, 0] = 0.0
+    m[1:, 1:] = d2
+    return float(np.linalg.det(m))
+
+
+def realizable_oracle(edge_lengths: list, dim: int, eps: float = EPS_CM) -> bool:
+    """Whether a flat nondegenerate simplex with these edge lengths exists.
+
+    Lengths are given in canonical vertex-pair order, C(dim+1, 2) of them.
+    The test checks the Cayley-Menger sign pattern on every face: the
+    determinant on m points must have sign (-1)^m and magnitude above the
+    (scale-normalized) tolerance.
+    """
+    n = dim + 1
+    pairs = list(combinations(range(n), 2))
+    if len(edge_lengths) != len(pairs):
+        raise ArityError(
+            f"expected {len(pairs)} edge lengths for a {dim}-simplex, "
+            f"got {len(edge_lengths)}")
+    if not all(0 < l < math.inf for l in edge_lengths):
+        return False  # nonpositive, infinite or nan
+    d2 = np.zeros((n, n))
+    for (i, j), l in zip(pairs, edge_lengths):
+        d2[i, j] = d2[j, i] = l * l
+    scale = float(d2.max())
+    if scale == 0.0:
+        return False
+    for m in range(3, n + 1):
+        for subset in combinations(range(n), m):
+            det = _cayley_menger_det(d2[np.ix_(subset, subset)])
+            sign = -1 if m % 2 else 1
+            if sign * det <= eps * scale ** (m - 1):
+                return False
+    return True
+
+
+def random_simplex_lengths(rng, dim):
+    """Edge lengths of a random, often near-degenerate or invalid simplex.
+
+    Most draws are point sets in R^dim with one coordinate squeezed by
+    1e-6..1e-2 and an overall scale of 1e-3..1e3; the rest are raw lengths
+    (triangle inequality often broken), and some get one length replaced by
+    0, a negative value, nan or inf.
+    """
+    n = dim + 1
+    npairs = n * (n - 1) // 2
+    scale = 10 ** rng.uniform(-3, 3)
+    if rng.random() < 0.75:
+        pts = [[rng.gauss(0, 1) for _ in range(dim)] for _ in range(n)]
+        if dim:
+            squeeze = 10 ** rng.uniform(-6, -2)
+            axis = rng.randrange(dim)
+            for p in pts:
+                p[axis] *= squeeze
+        lengths = [scale * math.dist(pts[a], pts[b])
+                   for a, b in combinations(range(n), 2)]
+    else:
+        lengths = [scale * rng.uniform(0.1, 2.0) for _ in range(npairs)]
+    if npairs and rng.random() < 0.1:
+        lengths[rng.randrange(npairs)] = rng.choice(
+            (0.0, -scale, math.nan, math.inf, -math.inf))
+    return lengths
 
 
 def fine_sample_min_eccentricity(g, step):
@@ -137,10 +211,90 @@ def test_non_finite_lengths_rejected():
 
 
 def test_realizable_arity():
-    from pfcomplex.metric import ArityError
-
     with pytest.raises(ArityError):
         realizable([1, 1], 2)
+
+
+def test_realizable_matches_per_face_oracle():
+    rng = random.Random(20240606)
+    rejected = 0
+    for trial in range(6000):
+        dim = trial % 5
+        lengths = random_simplex_lengths(rng, dim)
+        expected = realizable_oracle(lengths, dim)
+        assert realizable(lengths, dim) == expected, (dim, lengths)
+        rejected += not expected
+    assert 1500 < rejected < 4500  # both verdicts well represented
+
+
+# A tetrahedron whose four faces pass on their own scale, and whose top
+# determinant passes too, but whose thin faces fail against the larger
+# scale of the whole simplex: checking the top determinant alone accepts it.
+THIN_FACE_TET = (1.0, 0.500001, 8.021221852, 0.500001, 8.046117076,
+                 8.018042217)
+
+
+def test_faces_are_tested_against_the_enclosing_scale():
+    pairs = list(combinations(range(4), 2))
+    length = dict(zip(pairs, THIN_FACE_TET))
+    for face in combinations(range(4), 3):
+        assert realizable([length[e] for e in combinations(face, 2)], 2)
+    assert not realizable(list(THIN_FACE_TET), 3)
+    mc = MetricComplex(build_complex([(0, 1, 2, 3)]), length)
+    with pytest.raises(MetricError,
+                       match=r"^simplex \(0, 1, 2, 3\) is not flatly "
+                             r"realizable$"):
+        validate_metric(mc)
+
+
+def test_realizable_rejects_overflowing_scales():
+    # squared lengths or scale^(m-1) overflow float64: not certifiable
+    assert not realizable([1e200] * 3, 2)
+    assert not realizable([1e80] * 6, 3)
+    assert realizable([1e50] * 6, 3)
+
+
+def _metric_on(generators, lengths):
+    c = build_complex(generators)
+    return MetricComplex(c, {e: lengths.get(e, 1.0) for e in c.k_simplices(1)})
+
+
+def test_first_failure_is_a_triangle_before_any_tetrahedron():
+    # bad tetrahedron on 0..3, unrelated bad triangle (4, 5, 6)
+    lengths = dict(zip(combinations(range(4), 2), THIN_FACE_TET))
+    lengths[(5, 6)] = 3.0
+    mc = _metric_on([(0, 1, 2, 3), (4, 5, 6)], lengths)
+    with pytest.raises(MetricError, match=r"simplex \(4, 5, 6\) is not"):
+        validate_metric(mc)
+
+
+def test_first_failure_is_the_lex_first_bad_triangle():
+    mc = _metric_on([(0, 1, 4), (0, 2, 3), (1, 2, 3)],
+                    {(0, 2): 3.0, (1, 2): 3.0})
+    with pytest.raises(MetricError, match=r"simplex \(0, 2, 3\) is not"):
+        validate_metric(mc)
+
+
+def test_validate_metric_names_the_oracles_first_failure():
+    rng = random.Random(77)
+    failures = 0
+    for _ in range(150):
+        generators = [tuple(sorted(rng.sample(range(7), rng.choice((3, 4)))))
+                      for _ in range(rng.randint(1, 5))]
+        c = build_complex(generators)
+        mc = MetricComplex(c, {e: rng.uniform(0.5, 1.5)
+                               for e in c.k_simplices(1)})
+        expected = next(
+            (s for k in range(2, c.dim + 1) for s in c.k_simplices(k)
+             if not realizable_oracle(mc.simplex_lengths(s), k)), None)
+        if expected is None:
+            validate_metric(mc)
+            continue
+        failures += 1
+        with pytest.raises(MetricError) as err:
+            validate_metric(mc)
+        assert str(err.value) == f"simplex {expected} is not flatly realizable"
+    assert 40 < failures < 120
 
 
 def test_corner_angles():
