@@ -766,11 +766,20 @@ def _identification_batch(mc: MetricComplex, frees):
 
     A free face may glue onto another free face (both stop being free) or
     onto any disjoint isometric simplex elsewhere in the complex, whose
-    cofaces it then shares.  Least-entangled free faces go first; partners
-    disjoint from the face's whole closed neighborhood are preferred; each
+    cofaces it then shares.  Least-entangled free faces go first; each
     candidate passes a local degeneracy check (the quotient validator
     restricted to the affected stars), and accepted identifications claim
     their affected vertices so the batch members cannot interact.
+
+    Merging a vertex v of fa with a vertex w of a disjoint fb is never
+    admissible when v and w are at most 2 apart in the 1-skeleton: the edge
+    {v, w} degenerates, or the edges {u, v}, {u, w} through a common
+    neighbour u land on one image, while the pair only relates faces of fa
+    to faces of fb, and {u, w} is a face of neither.  A partner meeting the
+    closed neighbourhood of fa has a vertex within distance 2 of every
+    vertex of fa, so only partners outside it are tried, and among their
+    matchings only those whose merged vertices share no neighbour reach the
+    check.
     """
     nbrs = {v: {x for e in st if len(e) == 2 for x in e if x != v}
             for v, st in mc.complex.vertex_star.items()}
@@ -784,41 +793,33 @@ def _identification_batch(mc: MetricComplex, frees):
     def pollution(s):
         return sum(len(nbrs[v]) for v in s)
 
-    free_set = {p.face for p in frees}
+    free_key = {p.face: length_key(p.face) for p in frees}
+    sizes = {len(s) for s in free_key}
     by_key = {}
     for s in mc.complex.simplices:
-        by_key.setdefault(length_key(s), []).append(s)
-    for group in by_key.values():
+        if len(s) in sizes:
+            by_key.setdefault(length_key(s), []).append(s)
+    for key in set(free_key.values()):
         # least-entangled partners first, free or not: fresh free pieces can
         # absorb each other, saving the interior supply for the rest
-        group.sort(key=lambda s: (pollution(s), s in free_set, s))
+        by_key[key].sort(key=lambda s: (pollution(s), s in free_key, s))
 
     claimed = set()
     batch = []
-    for fa in sorted(free_set, key=lambda s: (len(s), pollution(s), s)):
-        if set(fa) & claimed:
+    for fa in sorted(free_key, key=lambda s: (len(s), pollution(s), s)):
+        if not claimed.isdisjoint(fa):
             continue
-        closed = set(fa)
-        for v in fa:
-            closed |= nbrs[v]
-        group = by_key.get(length_key(fa), ())
-        clean = [s for s in group if s != fa and not (set(s) & closed)]
-        risky = [s for s in group
-                 if s != fa and (set(s) & closed) and not (set(s) & set(fa))]
+        closed = set(fa).union(*(nbrs[v] for v in fa))
+        clean = [s for s in by_key[free_key[fa]] if closed.isdisjoint(s)]
         found = None
-        for fb in (clean + risky)[:80]:
-            if set(fb) & claimed:
+        for fb in clean[:80]:
+            if not claimed.isdisjoint(fb):
                 continue
-            for perm in permutations(fb):
-                # merging adjacent vertices degenerates their edge
-                if any(w in nbrs[v] for v, w in zip(fa, perm)):
-                    continue
-                if not _isometric_map(mc, fa, perm):
-                    continue
-                if not _pair_admissible(mc.complex, fa, perm):
-                    continue
-                found = perm
-                break
+            far = _far_pairs(nbrs, fa, fb)
+            found = next((perm for perm in permutations(fb)
+                          if far.issuperset(zip(fa, perm))
+                          and _isometric_map(mc, fa, perm)
+                          and _pair_admissible(mc.complex, fa, perm)), None)
             if found:
                 break
         if found is None:
@@ -826,6 +827,12 @@ def _identification_batch(mc: MetricComplex, frees):
         batch.append(_simplex_pair(fa, found))
         claimed |= set(fa) | set(found)
     return batch
+
+
+def _far_pairs(nbrs, fa, fb):
+    """The pairs (v, w) of fa x fb whose vertices share no neighbour: for fb
+    outside the closed neighbourhood of fa, those at least 3 apart."""
+    return {(v, w) for v in fa for w in fb if nbrs[v].isdisjoint(nbrs[w])}
 
 
 def _pair_admissible(c, fa, perm) -> bool:

@@ -27,7 +27,6 @@ import numpy as np
 
 from .complexes import (
     Complex,
-    _UnionFind,
     coface_map,
     link,
 )
@@ -205,7 +204,10 @@ def _morse_core(c: Complex, excluded) -> list[dict]:
     for ace in range(len(state)):
         if not state[ace]:
             state[ace] = 1
-            retire(ace, {ace: 1})
+            # a vertex ace is the only critical vertex of its component and
+            # every vertex there reduces to it, so its coefficient in each
+            # Morse boundary is the sum of an edge's boundary coefficients, 0
+            retire(ace, {ace: 1} if ace >= offsets[1] else None)
             drain()
     return [{a: crit.get(a, {}) for a in range(lo, hi) if state[a] == 1}
             for lo, hi in zip(offsets, offsets[1:])]
@@ -378,15 +380,6 @@ class BettiVector:
         return sum((-1) ** k * b for k, b in enumerate(self.ranks))
 
 
-def _base_vertices(c: Complex) -> set:
-    """The least vertex of each connected component, as 0-simplices."""
-    classes = _UnionFind()  # keeps the least vertex of a class as its root
-    for s in c.simplices:
-        if len(s) <= 2:
-            classes.union(s[0], s[-1])
-    return {(classes.find(v),) for v in classes.parent}
-
-
 def betti(c: Complex, ring: str = RING_Z, relative_to: Complex | None = None) -> BettiVector:
     """Betti numbers of the complex, or of the pair when a subcomplex is given.
 
@@ -397,17 +390,14 @@ def betti(c: Complex, ring: str = RING_Z, relative_to: Complex | None = None) ->
     dim = c.dim
     if dim < 0:
         return BettiVector((), (), ring)
+    # without a subcomplex, coreduction aces the least vertex of each
+    # component, whose Morse boundary is 0, so b_0 counts the components
+    excluded = frozenset()
     if relative_to is not None:
         for s in relative_to.simplices:
             if s not in c.simplices:
                 raise ContainmentError(f"relative subcomplex contains {s}, not in complex")
         excluded = relative_to.simplices
-        b0_bonus = 0
-    else:
-        # one seed vertex per component shifts the computation to reduced
-        # homology; add the components back to b_0 at the end
-        excluded = _base_vertices(c)
-        b0_bonus = len(excluded)
 
     core = _morse_core(c, excluded)
     ranks_of_boundary = [0] * (dim + 2)
@@ -424,7 +414,6 @@ def betti(c: Complex, ring: str = RING_Z, relative_to: Complex | None = None) ->
 
     ranks = [len(core[k]) - ranks_of_boundary[k] - ranks_of_boundary[k + 1]
              for k in range(dim + 1)]
-    ranks[0] += b0_bonus
     torsion = torsion_of_boundary[1:] if ring == RING_Z else [()] * (dim + 1)
     return BettiVector(tuple(ranks), tuple(torsion), ring)
 

@@ -1,7 +1,10 @@
 """Builders: tori, gluings, the house, free groups, gcify, genus surfaces."""
 
+import hashlib
+import io
 import math
 import random
+from itertools import permutations
 
 import pytest
 
@@ -35,6 +38,9 @@ from pfcomplex import (
     validate_metric,
     vertex_link_graph,
 )
+from pfcomplex import builders, pfcio
+from pfcomplex.builders import _isometric_map, _pair_admissible, _simplex_pair
+from pfcomplex.cli import run_command
 from pfcomplex.metric import angle_sum_at_vertex
 
 TWO_PI = 2 * math.pi
@@ -216,11 +222,123 @@ def test_gcify_delta3():
     validate_metric(res.complex)
 
 
+def test_gcify_box211():
+    res = gcify(box_complex(2, 1, 1))
+    assert res.added_loops >= 1
+    assert free_faces(res.complex.complex) == []
+    b = betti(res.complex.complex, "z")
+    assert b.ranks[1] == res.added_loops
+    validate_metric(res.complex)
+
+
 def test_gcify_idempotent():
     out = gcify(simplex_complex(2)).complex
     again = gcify(out)
     assert again.added_loops == 0
     assert again.complex is out
+
+
+# The candidate search that the 1-skeleton distance rule replaced, kept
+# verbatim as a reference: it enumerates every permutation of every partner
+# and lets the quotient check reject them.
+
+def identification_batch_oracle(mc, frees):
+    """A maximal set of independent isometric identifications of free faces.
+
+    A free face may glue onto another free face (both stop being free) or
+    onto any disjoint isometric simplex elsewhere in the complex, whose
+    cofaces it then shares.  Least-entangled free faces go first; partners
+    disjoint from the face's whole closed neighborhood are preferred; each
+    candidate passes a local degeneracy check (the quotient validator
+    restricted to the affected stars), and accepted identifications claim
+    their affected vertices so the batch members cannot interact.
+    """
+    nbrs = {v: {x for e in st if len(e) == 2 for x in e if x != v}
+            for v, st in mc.complex.vertex_star.items()}
+
+    def length_key(s):
+        if len(s) == 1:
+            return (len(s),)
+        return (len(s),) + tuple(round(l, 9)
+                                 for l in sorted(mc.simplex_lengths(s)))
+
+    def pollution(s):
+        return sum(len(nbrs[v]) for v in s)
+
+    free_set = {p.face for p in frees}
+    by_key = {}
+    for s in mc.complex.simplices:
+        by_key.setdefault(length_key(s), []).append(s)
+    for group in by_key.values():
+        # least-entangled partners first, free or not: fresh free pieces can
+        # absorb each other, saving the interior supply for the rest
+        group.sort(key=lambda s: (pollution(s), s in free_set, s))
+
+    claimed = set()
+    batch = []
+    for fa in sorted(free_set, key=lambda s: (len(s), pollution(s), s)):
+        if set(fa) & claimed:
+            continue
+        closed = set(fa)
+        for v in fa:
+            closed |= nbrs[v]
+        group = by_key.get(length_key(fa), ())
+        clean = [s for s in group if s != fa and not (set(s) & closed)]
+        risky = [s for s in group
+                 if s != fa and (set(s) & closed) and not (set(s) & set(fa))]
+        found = None
+        for fb in (clean + risky)[:80]:
+            if set(fb) & claimed:
+                continue
+            for perm in permutations(fb):
+                # merging adjacent vertices degenerates their edge
+                if any(w in nbrs[v] for v, w in zip(fa, perm)):
+                    continue
+                if not _isometric_map(mc, fa, perm):
+                    continue
+                if not _pair_admissible(mc.complex, fa, perm):
+                    continue
+                found = perm
+                break
+            if found:
+                break
+        if found is None:
+            continue
+        batch.append(_simplex_pair(fa, found))
+        claimed |= set(fa) | set(found)
+    return batch
+
+
+@pytest.mark.parametrize("name", ["simplex2", "simplex3", "box211"])
+def test_identification_batch_matches_unfiltered_search(name, monkeypatch):
+    mc = {"simplex2": lambda: simplex_complex(2),
+          "simplex3": lambda: simplex_complex(3),
+          "box211": lambda: box_complex(2, 1, 1)}[name]()
+    batch_of = builders._identification_batch
+    rounds = []
+
+    def compared(work, frees):
+        batch = batch_of(work, frees)
+        assert batch == identification_batch_oracle(work, frees)
+        rounds.append(len(batch))
+        return batch
+
+    monkeypatch.setattr(builders, "_identification_batch", compared)
+    gcify(mc)
+    assert len(rounds) >= 2 and any(rounds)
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("simplex3", "29c54bf77a0eb671ba315fe4d67c8e5fb52483daf5e75343608a9ec4e19c5b03"),
+    ("box211", "61c330de90d9ace1516eb9d675680df01847e3c8eba65a4737e44ba57f2af7a6"),
+], ids=["simplex3", "box211"])
+def test_build_gcify_bytes_are_pinned(name, digest, tmp_path):
+    mc = simplex_complex(3) if name == "simplex3" else box_complex(2, 1, 1)
+    path = tmp_path / f"{name}.pfc"
+    path.write_text(pfcio.serialize(mc), encoding="utf-8")
+    out = io.StringIO()
+    assert run_command(["build", "gcify", str(path)], out) == 0
+    assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == digest
 
 
 # --- midpoint subdivision --------------------------------------------------------

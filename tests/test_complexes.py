@@ -1,7 +1,7 @@
 """Combinatorial layer: closures, links, free faces, collapses, quotients."""
 
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -18,7 +18,7 @@ from pfcomplex import (
     quotient,
     star,
 )
-from pfcomplex.builders import _pair_admissible, _simplex_pair, box_complex
+from pfcomplex.builders import _far_pairs, _pair_admissible, _simplex_pair, box_complex
 from pfcomplex.complexes import canonical_simplex, coface_map, faces_of
 
 
@@ -303,3 +303,32 @@ def test_gcify_candidate_check_matches_quotient():
         assert _pair_admissible(c, fa, perm) == accepted
         verdicts.add(accepted)
     assert verdicts == {True, False}
+
+
+def test_gcify_distance_rule_rejects_only_inadmissible_pairs():
+    # gcify skips a partner meeting the closed neighbourhood of the free face
+    # and every matching that merges two vertices with a common neighbour
+    rng = random.Random(43)
+    verdicts = set()
+    tested = 0
+    while tested < 1000:
+        c = random_complex(rng, n_vertices=rng.randint(5, 11),
+                           n_generators=rng.randint(2, 7))
+        fa = rng.choice(sorted(c.simplices))
+        partners = [s for s in c.k_simplices(len(fa) - 1) if not set(s) & set(fa)]
+        if not partners:
+            continue
+        tested += 1
+        fb = rng.choice(partners)
+        nbrs = {v: set() for v in c.vertices}
+        for u, w in c.k_simplices(1):
+            nbrs[u].add(w)
+            nbrs[w].add(u)
+        closed = set(fa).union(*(nbrs[v] for v in fa))
+        far = _far_pairs(nbrs, fa, fb)
+        for perm in permutations(fb):
+            ruled_out = not closed.isdisjoint(fb) or not far.issuperset(zip(fa, perm))
+            admissible = brute_quotient(c, [_simplex_pair(fa, perm)]) is not None
+            assert not (ruled_out and admissible), (sorted(c.simplices), fa, perm)
+            verdicts.add((ruled_out, admissible))
+    assert verdicts >= {(True, False), (False, True)}

@@ -23,7 +23,6 @@ from pfcomplex import (
 from pfcomplex.homology import (
     ContainmentError,
     RangeError,
-    _base_vertices,
     _morse_core,
 )
 
@@ -358,10 +357,31 @@ def test_gf2_betti_counts_only_even_torsion(n, gf2_ranks):
 
 # --- coreduction: the critical cells against the oracles ------------------
 
-def critical_counts(c, relative_to=None):
-    """Critical cells per dimension left by coreduction."""
-    excluded = _base_vertices(c) if relative_to is None else relative_to.simplices
-    return [len(cells) for cells in _morse_core(c, excluded)]
+def components(c):
+    """Connected components of the 1-skeleton, by depth-first search."""
+    nbrs = {v: set() for v in c.vertices}
+    for u, w in c.k_simplices(1):
+        nbrs[u].add(w)
+        nbrs[w].add(u)
+    seen, count = set(), 0
+    for v in nbrs:
+        if v not in seen:
+            count += 1
+            stack = [v]
+            seen.add(v)
+            while stack:
+                for w in nbrs[stack.pop()] - seen:
+                    seen.add(w)
+                    stack.append(w)
+    return count
+
+
+def critical_counts(c):
+    """Critical cells per dimension left by coreduction, less the one 0-cell
+    it keeps per component."""
+    counts = [len(cells) for cells in _morse_core(c, frozenset())]
+    counts[0] -= components(c)
+    return counts
 
 
 def assert_matches_oracles(c, relative_to=None):
@@ -398,6 +418,17 @@ def test_morse_core_has_reduced_betti_sum_cells(name, size):
          "genus3": lambda: genus_surface(3),
          "example1": lambda: example_complex("example1")}[name]().complex
     assert sum(critical_counts(c)) == size == sum(betti(c).ranks) - 1
+
+
+def test_morse_core_keeps_one_boundaryless_vertex_per_component():
+    rng = random.Random(61)
+    for _ in range(300):
+        n = rng.randint(1, 14)
+        c = build_complex([tuple(rng.sample(range(n), rng.randint(1, min(4, n))))
+                           for _ in range(rng.randint(1, 9))])
+        core = _morse_core(c, frozenset())
+        assert len(core[0]) == components(c)
+        assert all(not d for k in core[:2] for d in k.values())
 
 
 def test_morse_core_of_house_is_small():
