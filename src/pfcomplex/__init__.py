@@ -3,11 +3,7 @@
 from .complexes import (
     CollapseResult,
     Complex,
-    ComplexError,
     FreeFacePair,
-    InvalidSimplexError,
-    MappingError,
-    MissingSimplexError,
     QuotientDegeneracyError,
     QuotientResult,
     build_complex,
@@ -23,12 +19,10 @@ from .complexes import (
 )
 from .metric import (
     Arc,
-    DimensionError,
     EccentricityBounds,
     MetricComplex,
     MetricError,
     MetricGraph,
-    SurfaceConditionError,
     cat0_two_complex_check,
     corner_angle,
     dihedral_angle,
@@ -50,18 +44,13 @@ from .metric import (
 from .homology import (
     BettiVector,
     ChainMatrix,
-    ContainmentError,
-    RangeError,
     betti,
     boundary_matrix,
     local_homology,
     solid_chain_check,
 )
 from .builders import (
-    DegenerateMetricError,
     GcifyResult,
-    PlacementError,
-    SubdivisionError,
     box_complex,
     example1_interface_complex,
     example_complex,
@@ -77,6 +66,6 @@ from .builders import (
     simplex_complex,
 )
 from .pfcio import parse, serialize
-from .report import CheckItem, CheckReport
+from .report import CheckItem, CheckReport, PfcError
 
 __version__ = "0.1.0"

@@ -34,7 +34,7 @@ from .complexes import (
     faces_of,
     free_faces,
 )
-from .homology import RING_GF2, RING_Z, RangeError, betti, solid_chain_check
+from .homology import RING_GF2, RING_Z, betti, solid_chain_check
 from .metric import (
     EPS_LEN,
     MetricComplex,
@@ -47,21 +47,9 @@ from .metric import (
     realizable,
     vertex_link_graph,
 )
-from .report import CONTRADICTION, FAIL, PASS
+from .report import CONTRADICTION, FAIL, PASS, PfcError
 
 _AXES = np.eye(3, dtype=int)
-
-
-class SubdivisionError(ValueError):
-    pass
-
-
-class DegenerateMetricError(ValueError):
-    pass
-
-
-class PlacementError(RuntimeError):
-    """No admissible identification target could be found."""
 
 
 # ---------------------------------------------------------------------------
@@ -108,10 +96,10 @@ def flat_torus3(m: int = 3, shape=None) -> MetricComplex:
     whose columns span the lattice (identity by default).
     """
     if m < 3:
-        raise SubdivisionError(f"torus grid needs m >= 3, got {m}")
+        raise PfcError(f"torus grid needs m >= 3, got {m}")
     shape = np.eye(3) if shape is None else np.asarray(shape, dtype=float)
     if abs(np.linalg.det(shape)) < 1e-12:
-        raise DegenerateMetricError("lattice matrix is singular")
+        raise PfcError("lattice matrix is singular")
 
     def vid(i, j, k):
         return ((i % m) * m + (j % m)) * m + (k % m)
@@ -124,10 +112,10 @@ def flat_torus3(m: int = 3, shape=None) -> MetricComplex:
 def flat_torus2(m: int = 3, shape=None) -> MetricComplex:
     """Flat 2-torus: an m x m grid of squares split along increasing diagonals."""
     if m < 3:
-        raise SubdivisionError(f"torus grid needs m >= 3, got {m}")
+        raise PfcError(f"torus grid needs m >= 3, got {m}")
     shape = np.eye(2) if shape is None else np.asarray(shape, dtype=float)
     if abs(np.linalg.det(shape)) < 1e-12:
-        raise DegenerateMetricError("lattice matrix is singular")
+        raise PfcError("lattice matrix is singular")
 
     def vid(i, j):
         return (i % m) * m + (j % m)
@@ -262,7 +250,7 @@ def _adapted_lattice(a: float, b: float, c: float) -> np.ndarray:
                       [0.0, y, 0.0],
                       [0.0, 0.0, (a + b + c) / 3.0]])
     if abs(np.linalg.det(basis)) < 1e-12:
-        raise DegenerateMetricError(f"degenerate lattice for sides {a},{b},{c}")
+        raise PfcError(f"degenerate lattice for sides {a},{b},{c}")
     return basis
 
 
@@ -385,7 +373,7 @@ def example_complex(name: str, override_angles=None) -> MetricComplex:
                 raise MetricError(f"house triangle {t} missing from the box")
         return glue_double_tori(base, house.complex.k_simplices(2),
                                 name=EXAMPLE2)
-    raise ValueError(f"unknown example {name!r}")
+    raise PfcError(f"unknown example {name!r}")
 
 
 def example_report(name: str) -> dict:
@@ -460,7 +448,7 @@ def example_report(name: str) -> dict:
             "chi_additivity": chi_ok,
             "obstruction_reproduced": ok,
         }
-    raise ValueError(f"unknown example {name!r}")
+    raise PfcError(f"unknown example {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +467,7 @@ def free_group_complex(n: int) -> MetricComplex:
     the wrapped segment.
     """
     if n < 2:
-        raise RangeError(f"free group rank must be >= 2, got {n}")
+        raise PfcError(f"free group rank must be >= 2, got {n}")
     if n == 2:
         return _moebius_variant()
     m = max(3 * (n - 2), 6)
@@ -603,7 +591,7 @@ def _first_valid_gluing(mc, pairs_for, candidates, what):
         except QuotientDegeneracyError:
             continue
         return MetricComplex(glued.complex, glued.lengths)
-    raise PlacementError(f"no admissible wrapping offsets for {what}")
+    raise PfcError(f"no admissible wrapping offsets for {what}")
 
 
 # ---------------------------------------------------------------------------
@@ -625,7 +613,7 @@ def midpoint_subdivision(mc: MetricComplex) -> MetricComplex:
     """
     c = mc.complex
     if c.dim > 3:
-        raise SubdivisionError("midpoint subdivision implemented for dim <= 3")
+        raise PfcError("midpoint subdivision implemented for dim <= 3")
     base = (max(c.vertices) + 1) if c.vertices else 0
     mid = {}
     for idx, e in enumerate(c.k_simplices(1)):
@@ -737,7 +725,7 @@ def gcify(mc: MetricComplex, max_rounds: int = 6) -> GcifyResult:
             continue
         rounds += 1
         if rounds > max_rounds:
-            raise PlacementError(
+            raise PfcError(
                 f"no identifiable pair among {len(frees)} free faces "
                 f"after {max_rounds} subdivision rounds")
         # uniform halving keeps piece lengths commensurable
@@ -877,7 +865,7 @@ def genus_surface(n: int, identify_segments: bool = True) -> MetricComplex:
     faces, and not a surface: the merged segment lies in four triangles.
     """
     if n < 2:
-        raise RangeError(f"genus must be >= 2, got {n}")
+        raise PfcError(f"genus must be >= 2, got {n}")
     sides = 4 * n
     per_side = 3  # two interior points per side keep the quotient simplicial
     ring = per_side * sides
@@ -923,7 +911,7 @@ def genus_surface(n: int, identify_segments: bool = True) -> MetricComplex:
 
     corner_classes = {vm[per_side * s] for s in range(sides)}
     if len(corner_classes) != 1:
-        raise PlacementError("side identifications did not merge all corners")
+        raise PfcError("side identifications did not merge all corners")
     apex = corner_classes.pop()
     if not identify_segments:
         return surface
@@ -932,7 +920,7 @@ def genus_surface(n: int, identify_segments: bool = True) -> MetricComplex:
                   {vm[per_side * s + per_side - 1] for s in range(sides)}
     alpha, beta, arcs = _balanced_link_split(surface, apex, mid_classes)
     if min(arcs) <= 2.0 * math.pi:
-        raise PlacementError(
+        raise PfcError(
             f"cannot separate two vertex segments by more than 2*pi "
             f"(arcs {arcs})")
     final, _ = metric_quotient(surface,
@@ -949,7 +937,7 @@ def _balanced_link_split(mc: MetricComplex, v: int, mid_classes):
         adj.setdefault(a.u, []).append((a.v, a.weight))
         adj.setdefault(a.v, []).append((a.u, a.weight))
     if any(len(nbrs) != 2 for nbrs in adj.values()):
-        raise PlacementError(f"link of vertex {v} is not a single circle")
+        raise PfcError(f"link of vertex {v} is not a single circle")
     start = g.nodes[0]
     order = [start]
     pos = [0.0]

@@ -20,7 +20,7 @@ import math
 import sys
 
 from . import builders, complexes, homology, metric, pfcio
-from .report import EXIT_STATUS
+from .report import EXIT_STATUS, PfcError
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -68,7 +68,18 @@ def _print_report(report, out, as_json):
 
 def _load(path) -> metric.MetricComplex:
     with open(path, "r", encoding="utf-8") as fh:
-        return pfcio.parse(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise PfcError(f"{path} is not UTF-8 text: {e.reason}") from None
+    return pfcio.parse(text)
+
+
+def _int_arg(word) -> int:
+    try:
+        return int(word)
+    except ValueError:
+        raise _UsageError(f"expected an integer, got {word!r}") from None
 
 
 # build target -> (what its required argument is, or None; a function that
@@ -77,12 +88,13 @@ _BUILDS = {
     "example1": (None, lambda a: builders.example_complex(builders.EXAMPLE1)),
     "example2": (None, lambda a: builders.example_complex(builders.EXAMPLE2)),
     "house": (None, lambda a: builders.house_with_two_rooms()),
-    "torus3": (None, lambda a: builders.flat_torus3(int(a[0]) if a else 3)),
+    "torus3": (None,
+               lambda a: builders.flat_torus3(_int_arg(a[0]) if a else 3)),
     "freegroup": ("a rank argument",
-                  lambda a: builders.free_group_complex(int(a[0]))),
+                  lambda a: builders.free_group_complex(_int_arg(a[0]))),
     "gcify": ("an input file", lambda a: builders.gcify(_load(a[0])).complex),
     "genus": ("a genus argument",
-              lambda a: builders.genus_surface(int(a[0]))),
+              lambda a: builders.genus_surface(_int_arg(a[0]))),
 }
 
 
@@ -243,8 +255,7 @@ def run_command(argv, out=None) -> int:
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, ValueError, metric.MetricError,
-            complexes.ComplexError, builders.PlacementError) as e:
+    except (OSError, PfcError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

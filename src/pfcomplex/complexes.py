@@ -18,26 +18,10 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .report import FAIL, PASS, CheckItem, CheckReport
+from .report import FAIL, PASS, CheckItem, CheckReport, PfcError
 
 
-class ComplexError(Exception):
-    """Base class for errors raised by this module."""
-
-
-class InvalidSimplexError(ComplexError):
-    """A vertex tuple with repeated entries was offered as a simplex."""
-
-
-class MissingSimplexError(ComplexError):
-    """An operation referenced a simplex that is not in the complex."""
-
-
-class MappingError(ComplexError):
-    """An identification pair does not describe matching subcomplexes."""
-
-
-class QuotientDegeneracyError(ComplexError):
+class QuotientDegeneracyError(PfcError):
     """A quotient would produce a non-simplicial complex.
 
     Carries the offending simplex (or simplex pair) so construction code can
@@ -56,14 +40,17 @@ Simplex = tuple  # canonical form: strictly increasing tuple of ints
 def canonical_simplex(vertices: Iterable[int]) -> Simplex:
     """Sort a vertex collection into canonical simplex form.
 
-    Raises InvalidSimplexError if a vertex repeats.
+    Raises PfcError if a vertex repeats or an id lies outside
+    0 <= v < 2**63 (homology keeps vertex ids in int64 arrays).
     """
     t = tuple(sorted(vertices))
     for a, b in zip(t, t[1:]):
         if a == b:
-            raise InvalidSimplexError(f"repeated vertex {a} in simplex {t}")
+            raise PfcError(f"repeated vertex {a} in simplex {t}")
     if t and t[0] < 0:
-        raise InvalidSimplexError(f"negative vertex id in simplex {t}")
+        raise PfcError(f"negative vertex id in simplex {t}")
+    if t and t[-1] >= 2**63:
+        raise PfcError(f"vertex id {t[-1]} in simplex {t} is not below 2**63")
     return t
 
 
@@ -144,7 +131,7 @@ class Complex:
         chosen = [canonical_simplex(s) for s in simplices]
         for s in chosen:
             if s not in self.simplices:
-                raise MissingSimplexError(f"{s} is not a simplex of the complex")
+                raise PfcError(f"{s} is not a simplex of the complex")
         return build_complex(chosen, name=name)
 
 
@@ -167,7 +154,7 @@ def star(c: Complex, s) -> Complex:
     """Closed star: all cofaces of s together with their faces."""
     s = canonical_simplex(s)
     if s not in c.simplices:
-        raise MissingSimplexError(f"{s} is not a simplex of the complex")
+        raise PfcError(f"{s} is not a simplex of the complex")
     return build_complex(_cofaces(c, s))
 
 
@@ -175,7 +162,7 @@ def link(c: Complex, s) -> Complex:
     """The link of s: simplices disjoint from s whose join with s is present."""
     s = canonical_simplex(s)
     if s not in c.simplices:
-        raise MissingSimplexError(f"{s} is not a simplex of the complex")
+        raise PfcError(f"{s} is not a simplex of the complex")
     sset = set(s)
     return Complex(frozenset(tuple(x for x in t if x not in sset)
                              for t in _cofaces(c, s) if len(t) > len(s)))
@@ -327,7 +314,7 @@ def _normalize_pair(c: Complex, pair) -> IdentificationPair:
     dst = [canonical_simplex(s) for s in target]
     for s in src + dst:
         if s not in c.simplices:
-            raise MissingSimplexError(f"identification references {s}, not in complex")
+            raise PfcError(f"identification references {s}, not in complex")
     return IdentificationPair(tuple(src), tuple(dst), dict(vmap))
 
 
@@ -357,17 +344,17 @@ def quotient(c: Complex, pairs: Sequence) -> QuotientResult:
             try:
                 img_vs = [vmap[v] for v in s]
             except KeyError as e:
-                raise MappingError(f"vertex {e.args[0]} of {s} has no image") from None
+                raise PfcError(f"vertex {e.args[0]} of {s} has no image") from None
             img = tuple(sorted(img_vs))
             if len(set(img)) != len(img):
-                raise MappingError(f"{s} degenerates to {img} under the pair map")
+                raise PfcError(f"{s} degenerates to {img} under the pair map")
             if img not in dst_set:
-                raise MappingError(f"{s} maps to {img}, not in the target subcomplex")
+                raise PfcError(f"{s} maps to {img}, not in the target subcomplex")
             covered.add(img)
             cells.union(s, img)
         if covered != dst_set:
             missing = sorted(dst_set - covered, key=_sort_key)
-            raise MappingError(f"target simplices not covered by the map: {missing[:3]}")
+            raise PfcError(f"target simplices not covered by the map: {missing[:3]}")
         for v, w in vmap.items():
             verts.union(v, w)
 

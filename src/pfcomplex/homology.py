@@ -30,34 +30,16 @@ from .complexes import (
     coface_map,
     link,
 )
-from .report import CONTRADICTION, PASS, CheckItem, CheckReport
+from .report import CONTRADICTION, PASS, CheckItem, CheckReport, PfcError
 
 RING_Z = "z"
 RING_GF2 = "z2"
 
-_RING_ALIASES = {
-    "z": RING_Z, "Z": RING_Z, "int": RING_Z,
-    "z2": RING_GF2, "Z2": RING_GF2, "gf2": RING_GF2, "GF2": RING_GF2,
-}
-
-
-class RingError(ValueError):
-    pass
-
-
-class RangeError(ValueError):
-    pass
-
-
-class ContainmentError(ValueError):
-    pass
-
 
 def _ring(ring: str) -> str:
-    try:
-        return _RING_ALIASES[ring]
-    except KeyError:
-        raise RingError(f"unknown coefficient ring {ring!r}; use 'z' or 'z2'") from None
+    if ring not in (RING_Z, RING_GF2):
+        raise PfcError(f"unknown coefficient ring {ring!r}; use 'z' or 'z2'")
+    return ring
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +64,7 @@ class ChainMatrix:
     def compose(self, other: "ChainMatrix") -> dict:
         """Entries of self @ other (used to verify that boundaries square to zero)."""
         if self.cols != other.rows:
-            raise ValueError("chain matrices are not composable")
+            raise PfcError("chain matrices are not composable")
         prod = self.dense() @ other.dense()
         if self.ring == RING_GF2:
             prod %= 2
@@ -93,7 +75,7 @@ def boundary_matrix(c: Complex, k: int, ring: str = RING_Z) -> ChainMatrix:
     """The k-th boundary matrix of the complex over the chosen ring."""
     ring = _ring(ring)
     if k < 1 or k > max(c.dim, 1):
-        raise RangeError(f"k={k} outside 1..{c.dim}")
+        raise PfcError(f"k={k} outside 1..{c.dim}")
     rows = tuple(c.k_simplices(k - 1))
     cols = tuple(c.k_simplices(k))
     row_index = {s: i for i, s in enumerate(rows)}
@@ -396,7 +378,7 @@ def betti(c: Complex, ring: str = RING_Z, relative_to: Complex | None = None) ->
     if relative_to is not None:
         for s in relative_to.simplices:
             if s not in c.simplices:
-                raise ContainmentError(f"relative subcomplex contains {s}, not in complex")
+                raise PfcError(f"relative subcomplex contains {s}, not in complex")
         excluded = relative_to.simplices
 
     core = _morse_core(c, excluded)
@@ -448,10 +430,10 @@ def solid_chain_check(j: Complex, b: Complex) -> CheckReport:
     close up off the marked subcomplex.
     """
     if j.dim > 3:
-        raise RangeError(f"check requires dim <= 3, got {j.dim}")
+        raise PfcError(f"check requires dim <= 3, got {j.dim}")
     for s in b.simplices:
         if s not in j.simplices:
-            raise ContainmentError(f"marked subcomplex contains {s}, not in complex")
+            raise PfcError(f"marked subcomplex contains {s}, not in complex")
 
     tets = j.k_simplices(3)
     has_top_cell = bool(tets)

@@ -22,7 +22,6 @@ import numpy as np
 
 from .complexes import (
     Complex,
-    MissingSimplexError,
     canonical_simplex,
     coface_map,
     disjoint_union,
@@ -30,7 +29,7 @@ from .complexes import (
     free_face_check,
     quotient,
 )
-from .report import FAIL, INCONCLUSIVE, PASS, CheckItem, CheckReport
+from .report import FAIL, INCONCLUSIVE, PASS, CheckItem, CheckReport, PfcError
 
 EPS_CM = 1e-9      # relative tolerance on Cayley-Menger determinants
 EPS_ANG = 1e-9     # tolerance on angle comparisons
@@ -41,26 +40,8 @@ DEFAULT_DELTA = 1e-3
 TWO_PI = 2.0 * math.pi
 
 
-class MetricError(Exception):
+class MetricError(PfcError):
     """A length assignment fails to realize some simplex flatly."""
-
-
-class ArityError(ValueError):
-    pass
-
-
-class DomainError(ValueError):
-    pass
-
-
-class DimensionError(ValueError):
-    pass
-
-
-class SurfaceConditionError(ValueError):
-    def __init__(self, message, edge=None):
-        super().__init__(message)
-        self.edge = edge
 
 
 def edge_key(u: int, v: int) -> tuple:
@@ -131,7 +112,7 @@ def realizable(edge_lengths: list, dim: int, eps: float = EPS_CM) -> bool:
     """
     npairs = dim * (dim + 1) // 2
     if len(edge_lengths) != npairs:
-        raise ArityError(
+        raise PfcError(
             f"expected {npairs} edge lengths for a {dim}-simplex, "
             f"got {len(edge_lengths)}")
     row = np.asarray(edge_lengths, dtype=float).reshape(1, npairs)
@@ -141,7 +122,7 @@ def realizable(edge_lengths: list, dim: int, eps: float = EPS_CM) -> bool:
 def corner_angle(a: float, b: float, c: float) -> float:
     """Angle between the sides of lengths a and b, opposite side c."""
     if a <= 0 or b <= 0 or c <= 0:
-        raise DomainError(f"nonpositive length in corner ({a}, {b}, {c})")
+        raise PfcError(f"nonpositive length in corner ({a}, {b}, {c})")
     arg = (a * a + b * b - c * c) / (2.0 * a * b)
     return math.acos(max(-1.0, min(1.0, arg)))
 
@@ -156,7 +137,7 @@ def embed_simplex(edge_lengths: list, dim: int) -> np.ndarray:
     n = dim + 1
     pairs = list(combinations(range(n), 2))
     if len(edge_lengths) != len(pairs):
-        raise ArityError(
+        raise PfcError(
             f"expected {len(pairs)} edge lengths for a {dim}-simplex")
     d2 = np.zeros((n, n))
     for (i, j), l in zip(pairs, edge_lengths):
@@ -175,7 +156,7 @@ def dihedral_angle(mc: MetricComplex, tet, edge) -> float:
     a, b = edge_key(*edge)
     rest = [v for v in tet if v not in (a, b)]
     if len(rest) != 2:
-        raise DomainError(f"{edge} is not an edge of {tet}")
+        raise PfcError(f"{edge} is not an edge of {tet}")
     c, d = rest
     order = [a, b, c, d]
     lengths = [mc.length(x, y) for x, y in combinations(order, 2)]
@@ -244,11 +225,11 @@ class MetricGraph:
         nodeset = set(self.nodes)
         for a in self.arcs:
             if a.u == a.v:
-                raise DomainError(f"self-loop at {a.u}")
+                raise PfcError(f"self-loop at {a.u}")
             if a.weight <= 0:
-                raise DomainError(f"nonpositive arc weight {a.weight}")
+                raise PfcError(f"nonpositive arc weight {a.weight}")
             if a.u not in nodeset or a.v not in nodeset:
-                raise DomainError(f"arc {a} references unknown node")
+                raise PfcError(f"arc {a} references unknown node")
 
     def total_weight(self) -> float:
         return sum(a.weight for a in self.arcs)
@@ -262,7 +243,7 @@ def vertex_link_graph(mc: MetricComplex, v: int) -> MetricGraph:
     """
     c = mc.complex
     if (v,) not in c.simplices:
-        raise MissingSimplexError(f"vertex {v} not in complex")
+        raise PfcError(f"vertex {v} not in complex")
     nodes = []
     arcs = []
     for s in c.vertex_star[v]:
@@ -274,7 +255,7 @@ def vertex_link_graph(mc: MetricComplex, v: int) -> MetricGraph:
                                mc.length(a, b))
             arcs.append(Arc(a, b, ang, tag=s))
         elif len(s) >= 4:
-            raise DimensionError(
+            raise PfcError(
                 f"vertex {v} lies in {s}; vertex links are only built where "
                 f"the star is 2-dimensional")
     return MetricGraph(tuple(nodes), tuple(arcs))
@@ -290,7 +271,7 @@ def edge_link_graph(mc: MetricComplex, e) -> MetricGraph:
     e = canonical_simplex(e)
     c = mc.complex
     if e not in c.simplices:
-        raise MissingSimplexError(f"edge {e} not in complex")
+        raise PfcError(f"edge {e} not in complex")
     eset = set(e)
     nodes = []
     arcs = []
@@ -398,9 +379,9 @@ def min_eccentricity(g: MetricGraph, delta: float = DEFAULT_DELTA) -> Eccentrici
     validated; the exact optimum trivially satisfies hi - lo <= 2*delta.
     """
     if delta <= 0:
-        raise DomainError(f"resolution must be positive, got {delta}")
+        raise PfcError(f"resolution must be positive, got {delta}")
     if not g.nodes:
-        raise DomainError("empty graph has no eccentricity")
+        raise PfcError("empty graph has no eccentricity")
     if not _is_connected(g):
         return EccentricityBounds(math.inf, math.inf, connected=False)
     if not g.arcs:
@@ -479,7 +460,7 @@ def min_eccentricity(g: MetricGraph, delta: float = DEFAULT_DELTA) -> Eccentrici
 def cat0_two_complex_check(mc: MetricComplex) -> CheckReport:
     """Link condition for 2-complexes: every vertex link has girth >= 2*pi."""
     if mc.complex.dim > 2:
-        raise DimensionError(
+        raise PfcError(
             f"link condition check requires dim <= 2, got {mc.complex.dim}")
     items = []
     ok = True
@@ -503,7 +484,7 @@ def npc_edge_link_check(mc: MetricComplex) -> CheckReport:
     is inconclusive, never a pass.
     """
     if mc.complex.dim > 3:
-        raise DimensionError(f"edge link check requires dim <= 3")
+        raise PfcError(f"edge link check requires dim <= 3")
     items = []
     for e in mc.complex.k_simplices(1):
         length, cycle = shortest_cycle(edge_link_graph(mc, e))
@@ -534,7 +515,7 @@ def extendability_check(mc: MetricComplex) -> CheckReport:
     evaluated exactly, so the verdict is decisive.
     """
     if mc.complex.dim > 2:
-        raise DimensionError(
+        raise PfcError(
             f"extendability check requires dim <= 2, got {mc.complex.dim}")
     faces = free_face_check(mc.complex)
     items = list(faces.items)
@@ -558,13 +539,12 @@ def gauss_bonnet(mc: MetricComplex):
     """(2*pi*chi, total angle defect) for a closed piecewise-flat surface."""
     c = mc.complex
     if c.dim != 2:
-        raise SurfaceConditionError(f"not a surface: dimension {c.dim}")
+        raise PfcError(f"not a surface: dimension {c.dim}")
     cofaces = coface_map(c)
     for e in c.k_simplices(1):
         if len(cofaces[e]) != 2:
-            raise SurfaceConditionError(
-                f"edge {e} lies in {len(cofaces[e])} triangles, expected 2",
-                edge=e)
+            raise PfcError(
+                f"edge {e} lies in {len(cofaces[e])} triangles, expected 2")
     lhs = TWO_PI * euler_characteristic(c)
     rhs = sum(TWO_PI - angle_sum_at_vertex(mc, v) for v in c.vertices)
     return lhs, rhs

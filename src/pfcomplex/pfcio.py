@@ -18,21 +18,18 @@ from __future__ import annotations
 
 import math
 
-from .complexes import InvalidSimplexError, build_complex, canonical_simplex
+from .complexes import build_complex, canonical_simplex
 from .metric import MetricComplex, validate_metric
+from .report import PfcError
 
 FORMAT_VERSION = 1
 
 
-class PfcSyntaxError(ValueError):
+class PfcSyntaxError(PfcError):
     def __init__(self, message, line=None):
         where = f"line {line}: " if line is not None else ""
         super().__init__(where + message)
         self.line = line
-
-
-class PartialMetricError(ValueError):
-    pass
 
 
 def serialize(mc: MetricComplex) -> str:
@@ -90,10 +87,10 @@ def parse(text: str, validate: bool = True) -> MetricComplex:
         elif tag == "s":
             if not args:
                 raise PfcSyntaxError("empty simplex record", lineno)
+            ids = _int_field(args, len(args), lineno)
             try:
-                generators.append(
-                    canonical_simplex(_int_field(args, len(args), lineno)))
-            except InvalidSimplexError as e:
+                generators.append(canonical_simplex(ids))
+            except PfcError as e:
                 raise PfcSyntaxError(str(e), lineno) from None
         elif tag == "l":
             if len(args) != 3:
@@ -136,7 +133,7 @@ def parse(text: str, validate: bool = True) -> MetricComplex:
     if lengths:
         missing = [tuple(e) for e in c.k_simplices(1) if tuple(e) not in lengths]
         if missing:
-            raise PartialMetricError(
+            raise PfcError(
                 f"partial metric: {len(missing)} edges lack lengths, "
                 f"first {missing[0]}")
         if validate:

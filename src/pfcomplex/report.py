@@ -1,4 +1,4 @@
-"""Structured pass/fail verdicts shared by the checking operations."""
+"""Structured pass/fail verdicts and the error root shared by all modules."""
 
 from __future__ import annotations
 
@@ -12,6 +12,14 @@ CONTRADICTION = "contradiction"
 
 # process exit status of a check command, per verdict
 EXIT_STATUS = {PASS: 0, FAIL: 1, INCONCLUSIVE: 3, CONTRADICTION: 1}
+
+
+class PfcError(ValueError):
+    """Bad input or an impossible request; the command line exits 2 on it.
+
+    Every error this package raises on purpose is a PfcError.  Subclasses
+    exist only where a caller tells them apart.
+    """
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,7 @@ from itertools import permutations
 import pytest
 
 from pfcomplex import (
-    DegenerateMetricError,
-    RangeError,
-    SubdivisionError,
+    PfcError,
     betti,
     box_complex,
     build_complex,
@@ -56,12 +54,12 @@ def test_torus3_counts_and_euler():
 
 
 def test_torus3_rejects_small_grid():
-    with pytest.raises(SubdivisionError):
+    with pytest.raises(PfcError, match=r"torus grid needs m >= 3, got 2"):
         flat_torus3(2)
 
 
 def test_torus3_rejects_singular_lattice():
-    with pytest.raises(DegenerateMetricError):
+    with pytest.raises(PfcError, match="lattice matrix is singular"):
         flat_torus3(3, shape=[[1, 0, 0], [0, 1, 0], [1, 1, 0]])
 
 
@@ -185,7 +183,7 @@ def test_free_group_complex_certificates(n):
 
 
 def test_free_group_complex_rejects_small_rank():
-    with pytest.raises(RangeError):
+    with pytest.raises(PfcError, match="free group rank must be >= 2, got 1"):
         free_group_complex(1)
 
 
@@ -391,7 +389,7 @@ def test_genus_surface_identified_certificates():
 
 
 def test_genus_surface_rejects_small_genus():
-    with pytest.raises(RangeError):
+    with pytest.raises(PfcError, match="genus must be >= 2, got 1"):
         genus_surface(1)
 
 

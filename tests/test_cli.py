@@ -7,10 +7,10 @@ import os
 
 import pytest
 
-from pfcomplex import build_complex, euler_characteristic, flat_torus3
+from pfcomplex import PfcError, build_complex, euler_characteristic, flat_torus3
 from pfcomplex.cli import run_command
 from pfcomplex.metric import MetricComplex
-from pfcomplex.pfcio import PartialMetricError, PfcSyntaxError, parse, serialize
+from pfcomplex.pfcio import PfcSyntaxError, parse, serialize
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
@@ -53,7 +53,8 @@ def test_parse_applies_face_closure():
 
 def test_parse_partial_metric_rejected():
     doc = "pfc 1\ndim 1\nvertices 3\ns 0 1\ns 1 2\nl 0 1 1.0\n"
-    with pytest.raises(PartialMetricError):
+    with pytest.raises(PfcError, match=r"partial metric: 1 edges lack "
+                                       r"lengths, first \(1, 2\)"):
         parse(doc)
 
 
@@ -91,8 +92,9 @@ def test_parse_rejects_bad_length_records(lines, bad_line):
     assert err.value.line == bad_line
 
 
-@pytest.mark.parametrize("record", ["s -1 0", "s 0 0"],
-                         ids=["negative", "repeated"])
+@pytest.mark.parametrize("record", ["s -1 0", "s 0 0",
+                                    "s 0 99999999999999999999"],
+                         ids=["negative", "repeated", "huge"])
 def test_parse_rejects_bad_simplex_records(record):
     doc = "pfc 1\ndim 1\nvertices 3\ns 1 2\n" + record + "\n"
     with pytest.raises(PfcSyntaxError) as err:
@@ -236,30 +238,39 @@ def test_usage_errors_exit_2():
      "pfc 1\ndim 2\nvertices 3\ns 0 1 2\n"),
     (["check", "free-faces", "{}"], "pfc 1\ndim 1\nvertices 2\ns -1 0\n"),
     (["homology", fixture("house.pfc"), "--local", "999"], None),
+    # no vertices record, so only the id range check stands in the way
+    (["homology", "{}"], "pfc 1\ndim 1\ns 0 99999999999999999999\n"),
+    (["homology", "{}"], b"\xff\xfe"),
+    (["build", "freegroup", "x"], None),
+    (["build", "torus3", "x"], None),
     # every face passes on its own, the tetrahedron does not
     (["check", "link-cat0", "{}"],
      "pfc 1\ndim 3\nvertices 4\ns 0 1 2 3\nl 0 1 1.0\nl 0 2 0.500001\n"
      "l 0 3 8.021221852\nl 1 2 0.500001\nl 1 3 8.046117076\n"
      "l 2 3 8.018042217\n"),
 ], ids=["link-cat0-no-lengths", "extendability-no-lengths",
-        "negative-vertex", "local-missing-vertex", "thin-face-tetrahedron"])
+        "negative-vertex", "local-missing-vertex", "huge-vertex", "not-utf8",
+        "freegroup-non-integer", "torus3-non-integer",
+        "thin-face-tetrahedron"])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, doc):
     if doc is not None:
         path = tmp_path / "in.pfc"
-        path.write_text(doc)
+        path.write_bytes(doc if isinstance(doc, bytes) else doc.encode())
         argv = [str(path) if a == "{}" else a for a in argv]
     code, out = run(argv)
     err = capsys.readouterr().err
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    # a bad build argument is a usage error, bad file content an input error
+    prefix = "usage error: " if argv[0] == "build" else "error: "
+    assert err.startswith(prefix) and err.count("\n") == 1
 
 
 def test_gcify_placement_failure_exits_2_with_one_line(monkeypatch, capsys):
     from pfcomplex import builders
 
     def exhausted(mc):
-        raise builders.PlacementError("no admissible pair left")
+        raise PfcError("no admissible pair left")
 
     monkeypatch.setattr(builders, "gcify", exhausted)
     code, out = run(["build", "gcify", fixture("house.pfc")])

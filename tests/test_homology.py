@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from pfcomplex import (
+    PfcError,
     betti,
     boundary_matrix,
     build_complex,
@@ -20,11 +21,7 @@ from pfcomplex import (
     quotient,
     solid_chain_check,
 )
-from pfcomplex.homology import (
-    ContainmentError,
-    RangeError,
-    _morse_core,
-)
+from pfcomplex.homology import _morse_core
 
 
 # --- independent oracle: dense Smith normal form, no shortcuts ------------
@@ -156,8 +153,14 @@ def test_boundary_squares_to_zero_random():
                 assert not lo.compose(hi)
 
 
+@pytest.mark.parametrize("ring", ["Z", "gf2", "int", "q"])
+def test_ring_must_be_z_or_z2(ring):
+    with pytest.raises(PfcError, match="unknown coefficient ring"):
+        betti(build_complex([(0, 1)]), ring)
+
+
 def test_boundary_range_error():
-    with pytest.raises(RangeError):
+    with pytest.raises(PfcError, match=r"k=5 outside 1\.\.2"):
         boundary_matrix(build_complex([(0, 1, 2)]), 5)
 
 
@@ -438,7 +441,8 @@ def test_morse_core_of_house_is_small():
 def test_relative_containment_error():
     c = build_complex([(0, 1, 2)])
     other = build_complex([(5, 6)])
-    with pytest.raises(ContainmentError):
+    with pytest.raises(PfcError, match=r"relative subcomplex contains "
+                                       r"\(6,\), not in complex"):
         betti(c, "z", relative_to=other)
 
 

@@ -10,11 +10,10 @@ import pytest
 
 from pfcomplex import (
     Arc,
-    DimensionError,
     MetricComplex,
     MetricError,
     MetricGraph,
-    SurfaceConditionError,
+    PfcError,
     build_complex,
     cat0_two_complex_check,
     corner_angle,
@@ -38,8 +37,6 @@ from pfcomplex import (
 )
 from pfcomplex.metric import (
     EPS_CM,
-    ArityError,
-    DomainError,
     _adjacency,
     _dijkstra,
     angle_sum_at_vertex,
@@ -92,7 +89,7 @@ def realizable_oracle(edge_lengths: list, dim: int, eps: float = EPS_CM) -> bool
     n = dim + 1
     pairs = list(combinations(range(n), 2))
     if len(edge_lengths) != len(pairs):
-        raise ArityError(
+        raise PfcError(
             f"expected {len(pairs)} edge lengths for a {dim}-simplex, "
             f"got {len(edge_lengths)}")
     if not all(0 < l < math.inf for l in edge_lengths):
@@ -211,7 +208,8 @@ def test_non_finite_lengths_rejected():
 
 
 def test_realizable_arity():
-    with pytest.raises(ArityError):
+    with pytest.raises(PfcError,
+                       match="expected 3 edge lengths for a 2-simplex, got 2"):
         realizable([1, 1], 2)
 
 
@@ -304,7 +302,8 @@ def test_corner_angles():
 
 
 def test_corner_angle_domain():
-    with pytest.raises(DomainError):
+    with pytest.raises(PfcError, match=r"nonpositive length in corner "
+                                       r"\(0\.0, 1\.0, 1\.0\)"):
         corner_angle(0.0, 1.0, 1.0)
 
 
@@ -364,7 +363,8 @@ def test_vertex_link_hexagon_fan():
 
 def test_vertex_link_rejects_3_dimensional_star():
     mc = simplex_complex(3)
-    with pytest.raises(DimensionError):
+    with pytest.raises(PfcError, match=r"vertex 0 lies in \(0, 1, 2, 3\); "
+                                       r"vertex links are only built"):
         vertex_link_graph(mc, 0)
 
 
@@ -474,7 +474,7 @@ def test_min_ecc_disconnected_flag():
 
 
 def test_min_ecc_rejects_bad_resolution():
-    with pytest.raises(DomainError):
+    with pytest.raises(PfcError, match="resolution must be positive, got 0"):
         min_eccentricity(MetricGraph((0, 1), (Arc(0, 1, 1.0),)), delta=0)
 
 
@@ -533,7 +533,8 @@ def test_cat0_monotone_under_angle_scaling():
 
 
 def test_cat0_rejects_high_dimension():
-    with pytest.raises(DimensionError):
+    with pytest.raises(PfcError, match="link condition check requires "
+                                       "dim <= 2, got 3"):
         cat0_two_complex_check(simplex_complex(3))
 
 
@@ -566,7 +567,8 @@ def test_gauss_bonnet_tetra_boundary():
 
 
 def test_gauss_bonnet_rejects_non_surface():
-    with pytest.raises(SurfaceConditionError):
+    with pytest.raises(PfcError, match=r"edge \(0, 1\) lies in 1 triangles, "
+                                       r"expected 2"):
         gauss_bonnet(simplex_complex(2).restrict([(0, 1, 2)]))
 
 
@@ -618,7 +620,8 @@ def test_incidence_queries_match_brute_force_scans():
             assert angle_sum_at_vertex(mc, v) == \
                 pytest.approx(len(tris) * corner)
             if any(len(t) > 3 for t in at_v):
-                with pytest.raises(DimensionError):
+                with pytest.raises(PfcError, match=rf"vertex {v} lies in "
+                                   r".*vertex links are only built"):
                     vertex_link_graph(mc, v)
                 continue
             g = vertex_link_graph(mc, v)
