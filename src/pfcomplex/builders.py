@@ -59,9 +59,7 @@ _AXES = np.eye(3, dtype=int)
 def simplex_complex(dim: int, edge_length: float = 1.0) -> MetricComplex:
     """The solid dim-simplex with all edges of the given length."""
     c = build_complex([tuple(range(dim + 1))], name=f"delta{dim}")
-    lengths = {e: edge_length for e in
-               (tuple(s) for s in c.k_simplices(1))}
-    return MetricComplex(c, lengths)
+    return MetricComplex(c, dict.fromkeys(c.k_simplices(1), edge_length))
 
 
 def _grid_tets(sizes, vid):
@@ -226,10 +224,8 @@ def house_with_two_rooms() -> MetricComplex:
             for p, i in zip(t, ids):
                 coords[i] = np.asarray(p, dtype=float)
     c = build_complex(tris, name="house")
-    lengths = {}
-    for e in c.k_simplices(1):
-        lengths[tuple(e)] = float(np.linalg.norm(coords[e[0]] - coords[e[1]]))
-    return MetricComplex(c, lengths)
+    return MetricComplex(c, {e: float(np.linalg.norm(coords[e[0]] - coords[e[1]]))
+                             for e in c.k_simplices(1)})
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +330,7 @@ def example1_interface_complex(override_angles=None) -> MetricComplex:
     """
     tris = [(0, 1, 2), (0, 1, 3), (0, 2, 3)]
     c = build_complex(tris, name="example1-interfaces")
-    lengths = {tuple(e): 1.0 for e in c.k_simplices(1)}
+    lengths = dict.fromkeys(c.k_simplices(1), 1.0)
     if override_angles is not None:
         if len(override_angles) != len(tris):
             raise MetricError(f"need {len(tris)} override angles")
@@ -615,9 +611,7 @@ def midpoint_subdivision(mc: MetricComplex) -> MetricComplex:
     if c.dim > 3:
         raise PfcError("midpoint subdivision implemented for dim <= 3")
     base = (max(c.vertices) + 1) if c.vertices else 0
-    mid = {}
-    for idx, e in enumerate(c.k_simplices(1)):
-        mid[tuple(e)] = base + idx
+    mid = {e: base + i for i, e in enumerate(c.k_simplices(1))}
 
     def m(u, v):
         return mid[edge_key(u, v)]
@@ -719,9 +713,8 @@ def gcify(mc: MetricComplex, max_rounds: int = 6) -> GcifyResult:
             # nothing left to identify: collapsing is homotopy-preserving
             # and always terminates with zero free faces
             core, _ = collapse_core(work.complex)
-            lengths = {tuple(e): work.lengths[tuple(e)]
-                       for e in core.k_simplices(1)}
-            work = MetricComplex(core, lengths)
+            work = MetricComplex(core, {e: work.lengths[e]
+                                        for e in core.k_simplices(1)})
             continue
         rounds += 1
         if rounds > max_rounds:
@@ -892,10 +885,8 @@ def genus_surface(n: int, identify_segments: bool = True) -> MetricComplex:
         tris.append((t, ring + t1, ring + t))
         tris.append((ring + t, ring + t1, center))
     c = build_complex(tris, name=f"genus{n}")
-    lengths = {}
-    for e in c.k_simplices(1):
-        lengths[tuple(e)] = float(np.linalg.norm(coords[e[0]] - coords[e[1]]))
-    mc = MetricComplex(c, lengths)
+    mc = MetricComplex(c, {e: float(np.linalg.norm(coords[e[0]] - coords[e[1]]))
+                           for e in c.k_simplices(1)})
 
     def side_points(s):
         return [(per_side * s + t) % ring for t in range(per_side + 1)]

@@ -7,7 +7,8 @@ Command-line front end.
     pfc lemma13 FILE --b FILE [--json]
     pfc report <example1|example2> [--json]
 
-Exit codes: 0 pass, 1 check failed, 2 usage or input error, 3 inconclusive.
+Exit codes: 0 pass, 1 check failed, 2 usage or input error, 3 inconclusive,
+4 internal error (a bug: its traceback goes to stderr).
 Output is plain text (no color; NO_COLOR is honored trivially) unless --json
 is given, in which case the documented structured report is printed.
 """
@@ -18,6 +19,7 @@ import argparse
 import json
 import math
 import sys
+import traceback
 
 from . import builders, complexes, homology, metric, pfcio
 from .report import EXIT_STATUS, PfcError
@@ -25,6 +27,7 @@ from .report import EXIT_STATUS, PfcError
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+EXIT_BUG = 4
 
 
 class _CliParser(argparse.ArgumentParser):
@@ -261,7 +264,13 @@ def run_command(argv, out=None) -> int:
 
 
 def main():
-    sys.exit(run_command(sys.argv[1:]))
+    try:
+        code = run_command(sys.argv[1:])
+    except Exception:
+        # keep a library bug apart from exit 1, which means "check failed"
+        traceback.print_exc()
+        code = EXIT_BUG
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -15,8 +15,10 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from itertools import chain, combinations, compress
+from typing import Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 from .report import FAIL, PASS, CheckItem, CheckReport, PfcError
 
@@ -66,6 +68,73 @@ def _sort_key(s: Simplex):
     return (len(s), s)
 
 
+class CellIndex(NamedTuple):
+    """Integer ids for the cells of a complex, in (length, lex) order.
+
+    cells[i] is the complex's own tuple for cell i, and the k-simplices have
+    the ids offsets[k]:offsets[k + 1].  Row j of the int64 array faces[k]
+    holds the face ids of the j-th k-simplex, column i the face that drops
+    vertex i (boundary coefficient (-1)**i); faces[0] has no columns.
+    """
+
+    cells: list
+    offsets: list
+    faces: tuple
+
+    def coface_counts(self) -> np.ndarray:
+        """Number of codimension-1 cofaces of each cell."""
+        return np.bincount(np.concatenate([f.ravel() for f in self.faces]),
+                           minlength=len(self.cells))
+
+    def cofaces(self):
+        """Codimension-1 cofaces, ascending, of cell f: cob[ptr[f]:ptr[f + 1]]."""
+        owners = np.repeat(np.arange(len(self.cells)), np.repeat(
+            [f.shape[1] for f in self.faces], np.diff(self.offsets)))
+        face_ids = np.concatenate([f.ravel() for f in self.faces])
+        ptr = np.concatenate([[0], self.coface_counts().cumsum()])
+        return ptr, owners[np.argsort(face_ids, kind="stable")]
+
+
+def _index_cells(simplices) -> CellIndex:
+    """The (length, lex) numbering of a face-closed set of simplices.
+
+    Vertices are ranked once, and a k-simplex's lexicographic key is (rank
+    of its first vertex, id of the face dropping it), so every order and
+    face id comes from numpy sorts and searches over integer keys.
+    """
+    by_len = {}
+    for s in simplices:
+        by_len.setdefault(len(s), []).append(s)
+    points = by_len.get(1, [])
+    vid = np.fromiter(chain.from_iterable(points), np.int64, len(points))
+    order = np.argsort(vid)
+    cells, verts = [points[i] for i in order.tolist()], vid[order]
+    keys = [np.arange(len(verts))]  # sorted lexicographic keys per dimension
+    faces, offsets = [np.zeros((len(verts), 0), dtype=np.int64)], [0, len(verts)]
+    for k in range(1, max(by_len, default=1)):
+        group = by_len[k + 1]
+        ranks = np.searchsorted(verts, np.fromiter(
+            chain.from_iterable(group), np.int64, len(group) * (k + 1))).reshape(-1, k + 1)
+        lex = ranks[:, 0] * len(keys[k - 1]) + _row_ids(keys, ranks[:, 1:])
+        order = np.argsort(lex)
+        ranks = ranks[order]
+        keys.append(lex[order])
+        cells += [group[i] for i in order.tolist()]
+        faces.append(np.stack([_row_ids(keys, np.delete(ranks, i, axis=1))
+                               for i in range(k + 1)], axis=1) + offsets[k - 1])
+        offsets.append(offsets[k] + len(group))
+    return CellIndex(cells, offsets, tuple(faces))
+
+
+def _row_ids(keys, ranks) -> np.ndarray:
+    """Ids of rows of vertex ranks among the simplices of their dimension,
+    given the sorted keys of every lower dimension; suffixes first."""
+    out = ranks[:, -1]
+    for d in range(1, ranks.shape[1]):
+        out = np.searchsorted(keys[d], ranks[:, -1 - d] * len(keys[d - 1]) + out)
+    return out
+
+
 @dataclass(frozen=True)
 class Complex:
     """A face-closed set of simplices with an optional label.
@@ -78,7 +147,7 @@ class Complex:
     name: str | None = field(default=None, compare=False)
 
     def __iter__(self):
-        return iter(sorted(self.simplices, key=_sort_key))
+        return iter(self.index.cells)
 
     def __len__(self):
         return len(self.simplices)
@@ -93,25 +162,28 @@ class Complex:
             return -1
         return max(len(s) for s in self.simplices) - 1
 
+    @cached_property
+    def index(self) -> CellIndex:
+        """The cell numbering incidence queries read; built on first use."""
+        return _index_cells(self.simplices)
+
     @property
     def vertices(self) -> list[int]:
         return sorted(s[0] for s in self.simplices if len(s) == 1)
 
     def k_simplices(self, k: int) -> list[Simplex]:
-        """All k-dimensional simplices in lexicographic order."""
-        return sorted(s for s in self.simplices if len(s) == k + 1)
+        """All k-dimensional simplices in lexicographic order (a new list)."""
+        lo, hi = self.index.offsets[k:k + 2] if 0 <= k <= self.dim else (0, 0)
+        return self.index.cells[lo:hi]
 
     def counts(self) -> list[int]:
         """Number of simplices in each dimension 0..dim."""
-        out = [0] * (self.dim + 1)
-        for s in self.simplices:
-            out[len(s) - 1] += 1
-        return out
+        return np.diff(self.index.offsets)[:self.dim + 1].tolist()
 
     def facets(self) -> list[Simplex]:
         """Maximal simplices (those with no proper coface)."""
-        return sorted((s for s, ts in coface_map(self).items() if not ts),
-                      key=_sort_key)
+        return [s for s, n in zip(self.index.cells,
+                                  self.index.coface_counts().tolist()) if not n]
 
     @cached_property
     def vertex_star(self) -> dict:
@@ -121,7 +193,7 @@ class Complex:
         on first use; every query about one simplex's star reads it.
         """
         out = {}
-        for s in sorted(self.simplices, key=_sort_key):
+        for s in self.index.cells:
             for v in s:
                 out.setdefault(v, []).append(s)
         return {v: tuple(st) for v, st in out.items()}
@@ -142,11 +214,7 @@ def build_complex(generators: Iterable[Sequence[int]], name: str | None = None) 
     """
     simplices = set()
     for g in generators:
-        s = canonical_simplex(g)
-        if not s:
-            continue
-        for f in faces_of(s):
-            simplices.add(f)
+        simplices.update(faces_of(canonical_simplex(g)))
     return Complex(frozenset(simplices), name=name)
 
 
@@ -179,31 +247,18 @@ class FreeFacePair(NamedTuple):
     coface: Simplex
 
 
-def coface_map(c: Complex) -> dict:
-    """Map each simplex of c to the list of its codimension-1 cofaces.
-
-    Built afresh on every call, so callers may consume it destructively;
-    it is not cached on the complex, whose memory it would otherwise hold.
-    """
-    cofaces = {s: [] for s in c.simplices}
-    for t in c.simplices:
-        if len(t) > 1:
-            for f in combinations(t, len(t) - 1):
-                cofaces[f].append(t)
-    return cofaces
-
-
 def free_faces(c: Complex) -> list[FreeFacePair]:
     """All pairs (face, coface) where face lies in exactly one coface.
 
     A simplex contained in some simplex two dimensions up necessarily has at
     least two codimension-1 cofaces, so counting those alone is sufficient.
-    Pairs come out sorted by face, lexicographically.
+    Pairs come out in (length, lexicographic) order of the face.
     """
-    cofaces = coface_map(c)
-    out = [FreeFacePair(f, ts[0]) for f, ts in cofaces.items() if len(ts) == 1]
-    out.sort(key=lambda p: (len(p.face), p.face))
-    return out
+    ptr, cob = c.index.cofaces()
+    free = np.flatnonzero(np.diff(ptr) == 1)
+    cells = c.index.cells
+    return [FreeFacePair(cells[f], cells[t])
+            for f, t in zip(free.tolist(), cob[ptr[free]].tolist())]
 
 
 def free_face_check(c: Complex) -> CheckReport:
@@ -230,28 +285,29 @@ def collapse_core(c: Complex) -> CollapseResult:
     its unique coface, so the result is deterministic even where the core
     itself is not canonical.
     """
-    cofaces = coface_map(c)
+    idx = c.index
+    faces = [row for f in idx.faces for row in f.tolist()]
+    ptr, cob = (a.tolist() for a in idx.cofaces())
+    n_co = [hi - lo for lo, hi in zip(ptr, ptr[1:])]
+    alive = bytearray(b"\x01") * len(n_co)
     # coface counts only fall, so every free face enters the heap once, when
-    # it becomes free; entries removed or left without a coface are skipped
-    heap = [(len(f), f) for f, ts in cofaces.items() if len(ts) == 1]
-    heapq.heapify(heap)
-    steps = 0
+    # it becomes free (ids ascend, so the first list is a heap); removed cells
+    # and cells left without a coface are skipped
+    heap = [f for f, n in enumerate(n_co) if n == 1]
     while heap:
-        _, f = heapq.heappop(heap)
-        if len(cofaces.get(f, ())) != 1:
+        f = heapq.heappop(heap)
+        if not alive[f] or n_co[f] != 1:
             continue
-        t = cofaces[f][0]
-        del cofaces[f], cofaces[t]
+        t = next(u for u in cob[ptr[f]:ptr[f + 1]] if alive[u])
+        alive[f] = alive[t] = 0
         # codim-1 faces of both removed simplices lose one coface each
-        for dead in (f, t):
-            for sub in combinations(dead, len(dead) - 1):
-                rest = cofaces.get(sub)
-                if rest is not None:
-                    rest.remove(dead)
-                    if len(rest) == 1:
-                        heapq.heappush(heap, (len(sub), sub))
-        steps += 1
-    return CollapseResult(Complex(frozenset(cofaces), name=c.name), steps)
+        for sub in faces[f] + faces[t]:
+            if alive[sub]:
+                n_co[sub] -= 1
+                if n_co[sub] == 1:
+                    heapq.heappush(heap, sub)
+    core = Complex(frozenset(compress(idx.cells, alive)), name=c.name)
+    return CollapseResult(core, (len(c) - len(core)) // 2)
 
 
 def euler_characteristic(c: Complex) -> int:
@@ -261,20 +317,6 @@ def euler_characteristic(c: Complex) -> int:
 
 # ---------------------------------------------------------------------------
 # quotients
-
-
-class IdentificationPair(NamedTuple):
-    """Identify the source subcomplex with the target one via vertex_map.
-
-    source and target are simplex lists (faces included); vertex_map sends
-    every vertex appearing in source to a vertex of target.  The map need not
-    be injective, which permits wrapping a subdivided arc onto a circle when
-    combined with an explicit endpoint merge in the same quotient call.
-    """
-
-    source: tuple
-    target: tuple
-    vertex_map: Mapping
 
 
 class QuotientResult(NamedTuple):
@@ -288,10 +330,7 @@ class _UnionFind:
 
     def find(self, x):
         p = self.parent
-        if x not in p:
-            p[x] = x
-            return x
-        root = x
+        root = p.setdefault(x, x)
         while p[root] != root:
             root = p[root]
         while p[x] != root:
@@ -308,21 +347,24 @@ class _UnionFind:
         self.parent[rb] = ra
 
 
-def _normalize_pair(c: Complex, pair) -> IdentificationPair:
+def _normalize_pair(c: Complex, pair) -> tuple:
     source, target, vmap = pair
     src = [canonical_simplex(s) for s in source]
     dst = [canonical_simplex(s) for s in target]
     for s in src + dst:
         if s not in c.simplices:
             raise PfcError(f"identification references {s}, not in complex")
-    return IdentificationPair(tuple(src), tuple(dst), dict(vmap))
+    return tuple(src), tuple(dst), dict(vmap)
 
 
 def quotient(c: Complex, pairs: Sequence) -> QuotientResult:
     """Glue the complex along the given identification pairs.
 
-    Every pair must map its source subcomplex simplex-by-simplex onto its
-    target (a mapping error otherwise).  After merging vertex classes the
+    A pair is (source, target, vertex_map): two simplex lists, faces
+    included, and a map sending each vertex of source to one of target,
+    simplex-by-simplex onto target (a mapping error otherwise).  The map
+    need not be injective, so a subdivided arc can wrap onto a circle with
+    an endpoint merge in the same call.  After merging vertex classes the
     result is checked to still be simplicial: no simplex may degenerate, and
     two distinct simplices may land on the same vertex set only if the
     declared identifications actually relate them.  Only simplices meeting a
@@ -409,7 +451,9 @@ def disjoint_union(a: Complex, b: Complex) -> tuple[Complex, dict]:
 
     Returns the union and the map from b's old vertex ids to new ones.
     """
-    offset = (max(a.vertices) + 1) if a.vertices else 0
+    offset = max(a.vertices, default=-1) + 1
     shift = {v: v + offset for v in b.vertices}
+    if max(shift.values(), default=0) >= 2**63:
+        raise PfcError(f"shifted vertex id {max(shift.values())} is not below 2**63")
     moved = {tuple(v + offset for v in s) for s in b.simplices}
     return Complex(frozenset(set(a.simplices) | moved)), shift

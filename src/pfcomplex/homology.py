@@ -20,16 +20,11 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain
 from math import gcd
 
 import numpy as np
 
-from .complexes import (
-    Complex,
-    coface_map,
-    link,
-)
+from .complexes import Complex, link
 from .report import CONTRADICTION, PASS, CheckItem, CheckReport, PfcError
 
 RING_Z = "z"
@@ -76,62 +71,17 @@ def boundary_matrix(c: Complex, k: int, ring: str = RING_Z) -> ChainMatrix:
     ring = _ring(ring)
     if k < 1 or k > max(c.dim, 1):
         raise PfcError(f"k={k} outside 1..{c.dim}")
-    rows = tuple(c.k_simplices(k - 1))
     cols = tuple(c.k_simplices(k))
-    row_index = {s: i for i, s in enumerate(rows)}
-    entries = {(row_index[s[:i] + s[i + 1:]], j): -1 if ring == RING_Z and i % 2 else 1
-               for j, s in enumerate(cols) for i in range(len(s))}
-    return ChainMatrix(ring, rows, cols, entries)
+    faces = (c.index.faces[k] - c.index.offsets[k - 1]).tolist() if cols else []
+    entries = {(r, j): -1 if ring == RING_Z and i % 2 else 1
+               for j, row in enumerate(faces) for i, r in enumerate(row)}
+    return ChainMatrix(ring, tuple(c.k_simplices(k - 1)), cols, entries)
 
 
 # ---------------------------------------------------------------------------
 # Coreduction: pair off cells that provably do not change homology and keep
 # the boundary of the rest, so only a small Morse complex reaches the matrix
 # algorithms.
-
-
-def _cell_faces(c: Complex, excluded):
-    """Integer ids for the cells, in (length, lexicographic) order.
-
-    Returns the face ids of every cell (face i drops vertex i, so its
-    coefficient is (-1)**i), the cofaces in CSR form (`cob[ptr[f]:ptr[f+1]]`),
-    the first id of each dimension, a state byte per cell (2 for the cells of
-    `excluded`, else 0) and the number of faces outside `excluded`.
-    """
-    by_len = {}
-    for s in c.simplices:
-        by_len.setdefault(len(s), []).append(s)
-    verts = np.array(sorted(v for v, in by_len[1]))
-    keys = [np.arange(len(verts))]  # sorted lexicographic keys per dimension
-    masks = [np.array([(v,) in excluded for v in verts.tolist()], dtype=bool)]
-
-    def key(k, ranks):  # rows of vertex ranks -> lexicographic keys
-        return ranks[:, 0] * len(keys[k - 1]) + ids(k - 1, ranks[:, 1:])
-
-    def ids(k, ranks):  # rows of vertex ranks -> ids among the k-simplices
-        return np.searchsorted(keys[k], key(k, ranks)) if k else ranks[:, 0]
-
-    blocks, offsets = [np.zeros((len(verts), 0), dtype=np.int64)], [0, len(verts)]
-    for k in range(1, max(by_len)):
-        cells = by_len[k + 1]
-        ranks = np.searchsorted(verts, np.fromiter(
-            chain.from_iterable(cells), np.int64, len(cells) * (k + 1))).reshape(-1, k + 1)
-        lex = key(k, ranks)
-        order = np.argsort(lex)
-        ranks = ranks[order]
-        keys.append(lex[order])
-        masks.append(np.fromiter(map(excluded.__contains__, cells), bool, len(cells))[order])
-        blocks.append(np.stack([ids(k - 1, np.delete(ranks, i, axis=1))
-                                for i in range(k + 1)], axis=1) + offsets[k - 1])
-        offsets.append(offsets[k] + len(cells))
-    state = np.concatenate(masks).astype(np.uint8) * 2
-    face_ids = np.concatenate([f.ravel() for f in blocks])
-    owners = np.concatenate([np.repeat(np.arange(lo, hi), f.shape[1])
-                             for f, lo, hi in zip(blocks, offsets, offsets[1:])])
-    ptr = np.bincount(face_ids, minlength=offsets[-1]).cumsum()
-    return ([row for f in blocks for row in f.tolist()],
-            owners[np.argsort(face_ids, kind="stable")].tolist(), [0] + ptr.tolist(),
-            offsets, state, np.concatenate([(state[f] == 0).sum(axis=1) for f in blocks]))
 
 
 def _morse_core(c: Complex, excluded) -> list[dict]:
@@ -146,10 +96,14 @@ def _morse_core(c: Complex, excluded) -> list[dict]:
     pair is left, the first working cell in (length, lex) order, which has
     no working faces, becomes critical (an ace).
     """
-    faces, cob, ptr, offsets, state, n_work = _cell_faces(c, excluded)
-    queue = deque(np.flatnonzero((state == 0) & (n_work == 1)).tolist())
-    state = bytearray(state)  # 0 working, 1 critical, 2 paired or excluded
-    n_work = n_work.tolist()
+    idx = c.index
+    dropped = np.fromiter(map(excluded.__contains__, idx.cells), bool, len(idx.cells))
+    n_work = np.concatenate([(~dropped[f]).sum(axis=1) for f in idx.faces])
+    queue = deque(np.flatnonzero(~dropped & (n_work == 1)).tolist())
+    # 0 working, 1 critical, 2 paired or excluded
+    state, n_work = bytearray(dropped.astype(np.uint8) * 2), n_work.tolist()
+    faces = [row for f in idx.faces for row in f.tolist()]
+    ptr, cob = (a.tolist() for a in idx.cofaces())
     crit = {}  # cell id -> critical part of its boundary
 
     def retire(s, fill):
@@ -189,10 +143,10 @@ def _morse_core(c: Complex, excluded) -> list[dict]:
             # a vertex ace is the only critical vertex of its component and
             # every vertex there reduces to it, so its coefficient in each
             # Morse boundary is the sum of an edge's boundary coefficients, 0
-            retire(ace, {ace: 1} if ace >= offsets[1] else None)
+            retire(ace, {ace: 1} if ace >= idx.offsets[1] else None)
             drain()
     return [{a: crit.get(a, {}) for a in range(lo, hi) if state[a] == 1}
-            for lo, hi in zip(offsets, offsets[1:])]
+            for lo, hi in zip(idx.offsets, idx.offsets[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -439,17 +393,18 @@ def solid_chain_check(j: Complex, b: Complex) -> CheckReport:
     has_top_cell = bool(tets)
     b_triangles = {s for s in b.simplices if len(s) == 3}
     triangles = j.k_simplices(2)
-    cofaces = coface_map(j)
+    first = j.index.offsets[2] if triangles else 0
+    up = j.index.coface_counts()[first:first + len(triangles)].tolist()
 
     # boundary of the sum of all 3-simplices over GF(2): the triangles with
     # an odd number of 3-cofaces
-    boundary_support = [f for f in triangles if len(cofaces[f]) % 2]
+    boundary_support = [f for f, n in zip(triangles, up) if n % 2]
     outside = [f for f in boundary_support if f not in b_triangles]
     supported = not outside
 
     # 2-simplices not in the marked subcomplex need exactly two 3-cofaces
-    bad = [f for f in triangles
-           if f not in b_triangles and len(cofaces[f]) != 2]
+    bad = [f for f, n in zip(triangles, up)
+           if f not in b_triangles and n != 2]
     closed_outside = has_top_cell and not bad
 
     if j.dim >= 3:

@@ -23,7 +23,6 @@ import numpy as np
 from .complexes import (
     Complex,
     canonical_simplex,
-    coface_map,
     disjoint_union,
     euler_characteristic,
     free_face_check,
@@ -67,9 +66,7 @@ class MetricComplex:
 
     def restrict(self, simplices, name=None) -> "MetricComplex":
         sub = self.complex.subcomplex(simplices, name=name)
-        lengths = {e: self.lengths[e] for e in
-                   (tuple(s) for s in sub.k_simplices(1))}
-        return MetricComplex(sub, lengths)
+        return MetricComplex(sub, {e: self.lengths[e] for e in sub.k_simplices(1)})
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +173,7 @@ def dihedral_angle(mc: MetricComplex, tet, edge) -> float:
 def validate_metric(mc: MetricComplex, eps: float = EPS_CM) -> None:
     """Raise MetricError unless every simplex is flatly realizable."""
     for e in mc.complex.k_simplices(1):
-        l = mc.lengths.get(tuple(e))
+        l = mc.lengths.get(e)
         if l is None:
             raise MetricError(f"edge {e} has no length")
         if not 0 < l < math.inf:
@@ -540,11 +537,10 @@ def gauss_bonnet(mc: MetricComplex):
     c = mc.complex
     if c.dim != 2:
         raise PfcError(f"not a surface: dimension {c.dim}")
-    cofaces = coface_map(c)
-    for e in c.k_simplices(1):
-        if len(cofaces[e]) != 2:
-            raise PfcError(
-                f"edge {e} lies in {len(cofaces[e])} triangles, expected 2")
+    lo, hi = c.index.offsets[1:3]
+    for e, n in zip(c.k_simplices(1), c.index.coface_counts()[lo:hi].tolist()):
+        if n != 2:
+            raise PfcError(f"edge {e} lies in {n} triangles, expected 2")
     lhs = TWO_PI * euler_characteristic(c)
     rhs = sum(TWO_PI - angle_sum_at_vertex(mc, v) for v in c.vertices)
     return lhs, rhs

@@ -33,19 +33,23 @@ class PfcSyntaxError(PfcError):
 
 
 def serialize(mc: MetricComplex) -> str:
-    """Emit a metric complex (or a bare complex wrapped with no lengths)."""
+    """Emit a metric complex (or a bare complex wrapped with no lengths);
+    a name that would not parse back unchanged is a PfcError."""
     c = mc.complex
     verts = c.vertices
     n = (max(verts) + 1) if verts else 0
     lines = [f"pfc {FORMAT_VERSION}"]
     if c.name:
+        if "#" in c.name or c.name != " ".join(c.name.split()):
+            raise PfcError(f"name {c.name!r} cannot be written: a name is "
+                           f"words without '#' joined by single spaces")
         lines.append(f"name {c.name}")
     lines.append(f"dim {max(c.dim, 0)}")
     lines.append(f"vertices {n}")
     for s in c.facets():
         lines.append("s " + " ".join(str(v) for v in s))
     for e in c.k_simplices(1):
-        l = mc.lengths.get(tuple(e))
+        l = mc.lengths.get(e)
         if l is not None:
             lines.append(f"l {e[0]} {e[1]} {repr(float(l))}")
     return "\n".join(lines) + "\n"
@@ -131,7 +135,7 @@ def parse(text: str, validate: bool = True) -> MetricComplex:
                                  f"an edge of the complex", lineno)
     mc = MetricComplex(c, lengths)
     if lengths:
-        missing = [tuple(e) for e in c.k_simplices(1) if tuple(e) not in lengths]
+        missing = [e for e in c.k_simplices(1) if e not in lengths]
         if missing:
             raise PfcError(
                 f"partial metric: {len(missing)} edges lack lengths, "

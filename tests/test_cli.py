@@ -46,6 +46,13 @@ def test_round_trip_torus3_byte_identical():
     assert serialize(parse(text)) == text
 
 
+@pytest.mark.parametrize("name", ["a#b", "a  b", "x\ns 5 6", " a", "a\tb"])
+def test_serialize_rejects_names_parse_cannot_carry(name):
+    mc = MetricComplex(build_complex([(0, 1)], name=name), {(0, 1): 1.0})
+    with pytest.raises(PfcError, match=r"cannot be written"):
+        serialize(mc)
+
+
 def test_parse_applies_face_closure():
     mc = parse("pfc 1\ndim 2\nvertices 3\ns 0 1 2\n")
     assert len(mc.complex) == 7
@@ -278,3 +285,19 @@ def test_gcify_placement_failure_exits_2_with_one_line(monkeypatch, capsys):
     assert code == 2
     assert out == ""
     assert err == "error: no admissible pair left\n"
+
+
+def test_library_bug_exits_4_with_traceback(monkeypatch, capsys):
+    from pfcomplex import cli
+
+    def broken(mc):
+        raise RuntimeError("internal fault")
+
+    monkeypatch.setitem(cli._CHECKS, "free-faces", broken)
+    monkeypatch.setattr("sys.argv", ["pfc", "check", "free-faces",
+                                     fixture("house.pfc")])
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main()
+    err = capsys.readouterr().err
+    assert exit_info.value.code == 4
+    assert err.startswith("Traceback") and "RuntimeError: internal fault" in err

@@ -10,6 +10,7 @@ from pfcomplex import (
     QuotientDegeneracyError,
     build_complex,
     collapse_core,
+    disjoint_union,
     euler_characteristic,
     free_faces,
     link,
@@ -17,7 +18,7 @@ from pfcomplex import (
     star,
 )
 from pfcomplex.builders import _far_pairs, _pair_admissible, _simplex_pair, box_complex
-from pfcomplex.complexes import canonical_simplex, coface_map, faces_of
+from pfcomplex.complexes import canonical_simplex, faces_of
 
 
 def random_complex(rng, n_vertices=8, n_generators=6, max_dim=3):
@@ -135,7 +136,11 @@ def test_collapse_preserves_euler():
 def rescan_collapse(c):
     """Reference collapse: rescan every simplex for the smallest free face
     before each step."""
-    cofaces = coface_map(c)
+    cofaces = {s: [] for s in c.simplices}
+    for t in c.simplices:
+        for f in combinations(t, len(t) - 1):
+            if f:
+                cofaces[f].append(t)
     steps = 0
     while True:
         frees = [(len(f), f) for f, ts in cofaces.items() if len(ts) == 1]
@@ -161,6 +166,8 @@ def test_collapse_matches_rescan_reference():
     for c in cases:
         core, steps = collapse_core(c)
         assert (core.simplices, steps) == rescan_collapse(c)
+        # the core keeps the input's own simplex objects
+        assert {id(s) for s in core.simplices} <= {id(s) for s in c.simplices}
 
 
 def test_euler_characteristic_values():
@@ -184,6 +191,28 @@ def test_quotient_strip_to_cylinder():
     res = quotient(strip, [pair])
     assert euler_characteristic(res.complex) == 0
     assert len(res.complex.vertices) == 6
+
+
+def test_quotients_and_unions_leave_the_cell_index_unbuilt():
+    # the glued inputs of example2 are discarded at once, so indexing them
+    # would cost more than the quotient itself
+    strip = build_complex([(0, 1, 2), (1, 2, 3), (2, 3, 4), (3, 4, 5),
+                           (4, 5, 6), (5, 6, 7)])
+    quotient(strip, [([(0,), (1,), (0, 1)], [(6,), (7,), (6, 7)], {0: 6, 1: 7})])
+    a, b = build_complex([(0, 1, 2)]), build_complex([(0, 1), (1, 2)])
+    disjoint_union(a, b)
+    for c in (strip, a, b):
+        assert "index" not in vars(c)
+
+
+def test_disjoint_union_keeps_vertex_ids_below_2_63():
+    # the cell index holds vertex ids in int64 arrays
+    top = build_complex([(2**63 - 2, 2**63 - 1)])
+    with pytest.raises(PfcError, match=r"shifted vertex id 9223372036854775809 "
+                                       r"is not below 2\*\*63"):
+        disjoint_union(top, build_complex([(0, 1)]))
+    union, _ = disjoint_union(build_complex([(2**63 - 3,)]), build_complex([(0, 1)]))
+    assert union.counts() == [3, 1]
 
 
 def test_quotient_rejects_degenerate_map():

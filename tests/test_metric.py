@@ -600,12 +600,24 @@ def test_incidence_queries_match_brute_force_scans():
     random complexes with unit edges equal scans of every simplex."""
     rng = random.Random(2026)
     corner, dihedral = math.acos(0.5), math.acos(1.0 / 3.0)
-    for _ in range(100):
-        gens = [tuple(rng.sample(range(7), rng.randint(1, 4)))
-                for _ in range(rng.randint(2, 7))]
+    cases = [[tuple(rng.sample(range(7), rng.randint(1, 4)))
+              for _ in range(rng.randint(2, 7))] for _ in range(100)]
+    # sparse ids below 2**62, in a shuffled order, and the empty complex
+    relabel = random.Random(9)
+    for gens in cases[:20]:
+        big = relabel.sample(range(2**62), 7)
+        cases.append([tuple(big[v] for v in g) for g in gens])
+    cases.append([])
+    for gens in cases:
         c = build_complex(gens)
         mc = MetricComplex(c, {e: 1.0 for e in c.k_simplices(1)})
         ordered = sorted(c.simplices, key=lambda s: (len(s), s))
+        assert list(c) == ordered
+        assert c.vertices == [s[0] for s in ordered if len(s) == 1]
+        assert c.counts() == [sum(len(s) == k + 1 for s in ordered)
+                              for k in range(c.dim + 1)]
+        for k in range(-1, c.dim + 2):
+            assert c.k_simplices(k) == [s for s in ordered if len(s) == k + 1]
 
         for s in ordered:
             cofaces = [t for t in ordered if set(s) <= set(t)]
@@ -616,6 +628,7 @@ def test_incidence_queries_match_brute_force_scans():
 
         for v in c.vertices:
             at_v = [t for t in ordered if v in t]
+            assert c.vertex_star[v] == tuple(at_v)
             tris = [t for t in at_v if len(t) == 3]
             assert angle_sum_at_vertex(mc, v) == \
                 pytest.approx(len(tris) * corner)
