@@ -41,4 +41,5 @@ print(f"\nThe full gluing attaches {r} blocks (two tori each).")
 print("Expected homology of the result: b1 = b2 = 6r, b3 = 2r,")
 print(f"chi = {euler_characteristic(box.complex)} - 2*{r} "
       f"= {euler_characteristic(box.complex) - 2 * r}.")
-print("Build and verify it with:  pfc report example2   (about 10s)")
+print("Build and verify it with:  pfc report example2   "
+      "(about 3.5 s on a 2-core Xeon)")

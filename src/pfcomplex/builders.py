@@ -308,8 +308,7 @@ def glue_double_tori(base: MetricComplex, interfaces, torus_subdivision: int = 3
         offset += nverts
 
     assembled = MetricComplex(Complex(frozenset(simplices), name=name), lengths)
-    glued, _ = metric_quotient(assembled, pairs)
-    return MetricComplex(glued.complex, glued.lengths)
+    return metric_quotient(assembled, pairs)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -583,10 +582,9 @@ def _moebius_variant() -> MetricComplex:
 def _first_valid_gluing(mc, pairs_for, candidates, what):
     for c1, c2 in candidates:
         try:
-            glued, _ = metric_quotient(mc, pairs_for(c1, c2))
+            return metric_quotient(mc, pairs_for(c1, c2))[0]
         except QuotientDegeneracyError:
             continue
-        return MetricComplex(glued.complex, glued.lengths)
     raise PfcError(f"no admissible wrapping offsets for {what}")
 
 
@@ -735,8 +733,7 @@ def _apply_batch(work, batch):
     """
     while batch:
         try:
-            glued, _ = metric_quotient(work, batch)
-            return MetricComplex(glued.complex, glued.lengths), len(batch)
+            return metric_quotient(work, batch)[0], len(batch)
         except (QuotientDegeneracyError, MetricError):
             batch = batch[:len(batch) // 2]
     return work, 0
@@ -897,8 +894,7 @@ def genus_surface(n: int, identify_segments: bool = True) -> MetricComplex:
             sa, sb = 4 * j + off, 4 * j + off + 2
             pairs.append(_segments_pair(side_points(sa),
                                         side_points(sb)[::-1]))
-    glued, vm = metric_quotient(mc, pairs)
-    surface = MetricComplex(glued.complex, glued.lengths)
+    surface, vm = metric_quotient(mc, pairs)
 
     corner_classes = {vm[per_side * s] for s in range(sides)}
     if len(corner_classes) != 1:
@@ -914,9 +910,8 @@ def genus_surface(n: int, identify_segments: bool = True) -> MetricComplex:
         raise PfcError(
             f"cannot separate two vertex segments by more than 2*pi "
             f"(arcs {arcs})")
-    final, _ = metric_quotient(surface,
-                               [_simplex_pair((apex, alpha), (apex, beta))])
-    return MetricComplex(final.complex, final.lengths)
+    return metric_quotient(surface,
+                           [_simplex_pair((apex, alpha), (apex, beta))])[0]
 
 
 def _balanced_link_split(mc: MetricComplex, v: int, mid_classes):

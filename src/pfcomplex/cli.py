@@ -16,6 +16,7 @@ is given, in which case the documented structured report is printed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -210,6 +211,7 @@ def _example2_text(p) -> str:
 _REPORT_TEXT = {"example1": _example1_text, "example2": _example2_text}
 
 
+@functools.cache
 def _parser() -> _CliParser:
     p = _CliParser(prog="pfc", description=__doc__,
                    formatter_class=argparse.RawDescriptionHelpFormatter)

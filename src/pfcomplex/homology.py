@@ -154,10 +154,11 @@ def _morse_core(c: Complex, excluded) -> list[dict]:
 
 
 def _snf_dense_core(cols):
-    """Classical Smith reduction for a small core with no unit entries.
+    """Diagonal reduction for a small core with no unit entries.
 
-    cols: list of dicts row->coeff.  Returns the list of nonzero diagonal
-    entries (not yet normalized for divisibility).
+    cols: list of dicts row->coeff.  Returns the nonzero entries of a
+    diagonal form; their count is the rank, their odd ones the GF(2) rank,
+    and _normalize_factors turns them into invariant factors.
     """
     rows = sorted({r for col in cols for r in col})
     ridx = {r: i for i, r in enumerate(rows)}
@@ -199,21 +200,7 @@ def _snf_dense_core(cols):
                     dirty = True
         if dirty:
             continue
-        # ensure the pivot divides the rest of the block
-        p = m[top][top]
-        offender = None
-        for i in range(top + 1, n_r):
-            for j in range(top + 1, n_c):
-                if m[i][j] % p:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            for j in range(top, n_c):
-                m[top][j] += m[offender][j]
-            continue
-        diag.append(abs(p))
+        diag.append(abs(m[top][top]))
         top += 1
     return diag
 
@@ -223,7 +210,7 @@ def _eliminate_integer(columns):
 
     columns: dict col_key -> {row_key: int}.  Pivots of absolute value one are
     eliminated with integer column operations (no divisions, exact); whatever
-    survives without unit entries goes through classical Smith reduction.
+    survives without unit entries is diagonalized by Euclidean steps.
     Pivot columns are chosen smallest-first through a lazy heap, which keeps
     fill-in low on boundary matrices.
     """
@@ -293,7 +280,7 @@ def _normalize_factors(factors):
                     fs[i], fs[j] = g, a * b // g
                     changed = True
         fs.sort()
-    return tuple(fs)
+    return tuple(f for f in fs if f > 1)
 
 
 # ---------------------------------------------------------------------------

@@ -120,6 +120,8 @@ def corner_angle(a: float, b: float, c: float) -> float:
     """Angle between the sides of lengths a and b, opposite side c."""
     if a <= 0 or b <= 0 or c <= 0:
         raise PfcError(f"nonpositive length in corner ({a}, {b}, {c})")
+    if not all(map(math.isfinite, (a, b, c))):
+        raise PfcError(f"non-finite length in corner ({a}, {b}, {c})")
     arg = (a * a + b * b - c * c) / (2.0 * a * b)
     return math.acos(max(-1.0, min(1.0, arg)))
 
@@ -225,6 +227,8 @@ class MetricGraph:
                 raise PfcError(f"self-loop at {a.u}")
             if a.weight <= 0:
                 raise PfcError(f"nonpositive arc weight {a.weight}")
+            if not math.isfinite(a.weight):
+                raise PfcError(f"non-finite arc weight {a.weight}")
             if a.u not in nodeset or a.v not in nodeset:
                 raise PfcError(f"arc {a} references unknown node")
 
@@ -350,102 +354,66 @@ class EccentricityBounds(NamedTuple):
     connected: bool = True
 
 
-def _is_connected(g: MetricGraph) -> bool:
-    if not g.nodes:
-        return True
-    adj = _adjacency(g)
-    seen = {g.nodes[0]}
-    stack = [g.nodes[0]]
-    while stack:
-        x = stack.pop()
-        for y, _, _ in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == len(g.nodes)
-
-
 def min_eccentricity(g: MetricGraph, delta: float = DEFAULT_DELTA) -> EccentricityBounds:
     """Bounds on min over points x of max over points y of d(x, y).
 
-    Points range over the whole graph body, arc interiors included.  The
-    eccentricity restricted to one arc is piecewise linear with slopes in
-    {-1, 0, 1}, so the minimum is found exactly by examining the breakpoint
-    grid; the returned interval is degenerate (lo == hi) up to floating
-    point.  `delta` is kept as the requested resolution bound and only
-    validated; the exact optimum trivially satisfies hi - lo <= 2*delta.
+    Points range over the whole graph body, arc interiors included: the
+    absolute centre of Hakimi (1964), from node-to-node distances alone.  At
+    distance t along an arc (p, q, w) a node x is f(x) = min(t + d(p, x),
+    (w - t) + d(q, x)) away, the far point of another arc (a, b, z) is
+    (f(a) + f(b) + z) / 2 away, and that of the arc itself max(min(t, cap),
+    min(w - t, cap)) with cap = (w + d(p, q)) / 2.  That cap is exact: a
+    p-q path through the arc is at least w long, so d(p, q) < w is the
+    detour around it, and at d(p, q) = w the cap never binds.  All slopes
+    lie in {-1, 0, 1}, so the minimum is exact on the breakpoint grid and
+    where rising and falling terms cross; the returned interval is
+    degenerate (lo == hi).  `delta` is kept as the requested resolution
+    bound and only validated; the exact optimum trivially satisfies
+    hi - lo <= 2*delta.
     """
-    if delta <= 0:
-        raise PfcError(f"resolution must be positive, got {delta}")
+    if not 0 < delta < math.inf:
+        raise PfcError(f"resolution must be positive, got {delta}" if delta <= 0
+                       else f"resolution must be finite, got {delta}")
     if not g.nodes:
         raise PfcError("empty graph has no eccentricity")
-    if not _is_connected(g):
+    adj = _adjacency(g)
+    rows = [_dijkstra(adj, n)[0] for n in g.nodes]
+    if len(rows[0]) < len(g.nodes):
         return EccentricityBounds(math.inf, math.inf, connected=False)
     if not g.arcs:
         return EccentricityBounds(0.0, 0.0)
 
-    adj = _adjacency(g)
-    nodes = list(g.nodes)
-    index = {n: i for i, n in enumerate(nodes)}
-    dist = {n: _dijkstra(adj, n)[0] for n in nodes}
-    darr = {n: np.array([dist[n][m] for m in nodes]) for n in nodes}
-
+    dist = np.array([[row[m] for m in g.nodes] for row in rows])
+    index = {n: i for i, n in enumerate(g.nodes)}
     p_idx = np.array([index[a.u] for a in g.arcs])
     q_idx = np.array([index[a.v] for a in g.arcs])
     z_arr = np.array([a.weight for a in g.arcs])
 
-    def node_ecc(n) -> float:
-        base = darr[n]
-        over_arcs = (base[p_idx] + base[q_idx] + z_arr) / 2.0
-        return max(float(base.max()), float(over_arcs.max()))
+    best = math.inf
+    for ai, (p, q, w) in enumerate(zip(p_idx.tolist(), q_idx.tolist(), z_arr.tolist())):
+        du, dv = dist[p], dist[q]
+        cap = (w + du[q]) / 2.0
+        cuts = np.append((w + dv - du) / 2.0, ((w - du[q]) / 2.0, cap))
+        t = np.array(sorted({0.0, w, w / 2.0, *cuts[(0.0 < cuts) & (cuts < w)].tolist()}))
+        # one row per grid point: node terms, then far points of the arcs
+        f = np.minimum(t[:, None] + du, (w - t[:, None]) + dv)
+        over_arcs = (f[:, p_idx] + f[:, q_idx] + z_arr) / 2.0
+        over_arcs[:, ai] = np.maximum(np.minimum(t, cap), np.minimum(w - t, cap))
+        v = np.concatenate([f, over_arcs], axis=1)
+        best = min(best, float(v.max(axis=1).min()))
 
-    best = min(node_ecc(n) for n in nodes)
-
-    for ai, arc in enumerate(g.arcs):
-        w = arc.weight
-        du, dv = darr[arc.u], darr[arc.v]
-        detour = _dijkstra(adj, arc.u, skip_arc=ai)[0].get(arc.v, math.inf)
-        cap = (w + detour) / 2.0 if math.isfinite(detour) else math.inf
-
-        def eval_terms(t: float) -> np.ndarray:
-            f = np.minimum(t + du, (w - t) + dv)
-            over_arcs = (f[p_idx] + f[q_idx] + z_arr) / 2.0
-            over_arcs[ai] = max(min(t, cap), min(w - t, cap))
-            return np.concatenate([f, over_arcs])
-
-        breaks = {0.0, w, w / 2.0}
-        crossing = (w + dv - du) / 2.0
-        for t in crossing:
-            if 0.0 < t < w:
-                breaks.add(float(t))
-        if math.isfinite(cap):
-            for t in ((w - detour) / 2.0, (w + detour) / 2.0):
-                if 0.0 < t < w:
-                    breaks.add(t)
-        grid = sorted(breaks)
-
-        for t1, t2 in zip(grid, grid[1:]):
-            if t2 - t1 < 1e-14:
-                continue
-            v1 = eval_terms(t1)
-            v2 = eval_terms(t2)
-            e1, e2 = float(v1.max()), float(v2.max())
-            cand = min(e1, e2)
-            slope = (v2 - v1) / (t2 - t1)
-            rising = slope > 0.5
-            falling = slope < -0.5
-            if rising.any() and falling.any():
-                b_plus = float((v1[rising] - t1).max())
-                b_minus = float((v1[falling] + t1).max())
-                t_star = (b_minus - b_plus) / 2.0
-                if t1 < t_star < t2:
-                    flat = ~(rising | falling)
-                    e_star = (b_plus + b_minus) / 2.0
-                    if flat.any():
-                        e_star = max(e_star, float(v1[flat].max()))
-                    cand = min(cand, e_star)
-            if cand < best:
-                best = cand
+        # one row per segment; those shorter than 1e-14 are never crossed
+        dt, v1, t1 = np.diff(t), v[:-1], t[:-1, None]
+        slope = np.diff(v, axis=0) / dt[:, None]
+        rising, falling = slope > 0.5, slope < -0.5
+        b_plus = np.where(rising, v1 - t1, -np.inf).max(axis=1)
+        b_minus = np.where(falling, v1 + t1, -np.inf).max(axis=1)
+        with np.errstate(invalid="ignore"):  # -inf - -inf where neither
+            t_star = (b_minus - b_plus) / 2.0
+        e_star = np.maximum((b_plus + b_minus) / 2.0,
+                            np.where(rising | falling, -np.inf, v1).max(axis=1))
+        crossed = (dt >= 1e-14) & (t[:-1] < t_star) & (t_star < t[1:])
+        best = min(best, float(e_star[crossed].min(initial=math.inf)))
 
     return EccentricityBounds(best, best)
 
@@ -481,7 +449,8 @@ def npc_edge_link_check(mc: MetricComplex) -> CheckReport:
     is inconclusive, never a pass.
     """
     if mc.complex.dim > 3:
-        raise PfcError(f"edge link check requires dim <= 3")
+        raise PfcError(
+            f"edge link check requires dim <= 3, got {mc.complex.dim}")
     items = []
     for e in mc.complex.k_simplices(1):
         length, cycle = shortest_cycle(edge_link_graph(mc, e))

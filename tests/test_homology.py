@@ -449,12 +449,17 @@ def test_relative_containment_error():
 def test_sparse_elimination_matches_dense_smith_on_random_matrices():
     from pfcomplex.homology import _eliminate_integer, _normalize_factors
 
+    assert _normalize_factors([2, 3]) == (6,)
     rng = random.Random(99)
+    # diag(2, 3) has Smith form diag(1, 6): the unit must not count as torsion
+    matrices = [[[2, 0], [0, 3]]]
     for _ in range(60):
         rows = rng.randint(1, 7)
         cols = rng.randint(1, 7)
-        m = [[rng.choice((0, 0, 0, 1, -1, 2, -2, 3)) for _ in range(cols)]
-             for _ in range(rows)]
+        matrices.append([[rng.choice((0, 0, 0, 1, -1, 2, -2, 3))
+                          for _ in range(cols)] for _ in range(rows)])
+    for m in matrices:
+        rows, cols = len(m), len(m[0])
         columns = {}
         for j in range(cols):
             col = {i: m[i][j] for i in range(rows) if m[i][j]}

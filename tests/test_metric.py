@@ -10,6 +10,7 @@ import pytest
 
 from pfcomplex import (
     Arc,
+    EccentricityBounds,
     MetricComplex,
     MetricError,
     MetricGraph,
@@ -24,11 +25,14 @@ from pfcomplex import (
     flat_torus2,
     flat_torus3,
     free_faces,
+    free_group_complex,
     gauss_bonnet,
+    genus_surface,
     girth,
     link,
     link_condition_check,
     min_eccentricity,
+    npc_edge_link_check,
     realizable,
     simplex_complex,
     star,
@@ -36,6 +40,7 @@ from pfcomplex import (
     vertex_link_graph,
 )
 from pfcomplex.metric import (
+    DEFAULT_DELTA,
     EPS_CM,
     _adjacency,
     _dijkstra,
@@ -135,6 +140,109 @@ def random_simplex_lengths(rng, dim):
         lengths[rng.randrange(npairs)] = rng.choice(
             (0.0, -scale, math.nan, math.inf, -math.inf))
     return lengths
+
+
+# The per-arc detour search that metric.min_eccentricity replaced, kept
+# verbatim as a reference for the node-distance-only version.
+
+def is_connected_oracle(g: MetricGraph) -> bool:
+    if not g.nodes:
+        return True
+    adj = _adjacency(g)
+    seen = {g.nodes[0]}
+    stack = [g.nodes[0]]
+    while stack:
+        x = stack.pop()
+        for y, _, _ in adj[x]:
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return len(seen) == len(g.nodes)
+
+
+def min_eccentricity_oracle(g: MetricGraph, delta: float = DEFAULT_DELTA) -> EccentricityBounds:
+    """Bounds on min over points x of max over points y of d(x, y).
+
+    Points range over the whole graph body, arc interiors included.  The
+    eccentricity restricted to one arc is piecewise linear with slopes in
+    {-1, 0, 1}, so the minimum is found exactly by examining the breakpoint
+    grid; the returned interval is degenerate (lo == hi) up to floating
+    point.  `delta` is kept as the requested resolution bound and only
+    validated; the exact optimum trivially satisfies hi - lo <= 2*delta.
+    """
+    if delta <= 0:
+        raise PfcError(f"resolution must be positive, got {delta}")
+    if not g.nodes:
+        raise PfcError("empty graph has no eccentricity")
+    if not is_connected_oracle(g):
+        return EccentricityBounds(math.inf, math.inf, connected=False)
+    if not g.arcs:
+        return EccentricityBounds(0.0, 0.0)
+
+    adj = _adjacency(g)
+    nodes = list(g.nodes)
+    index = {n: i for i, n in enumerate(nodes)}
+    dist = {n: _dijkstra(adj, n)[0] for n in nodes}
+    darr = {n: np.array([dist[n][m] for m in nodes]) for n in nodes}
+
+    p_idx = np.array([index[a.u] for a in g.arcs])
+    q_idx = np.array([index[a.v] for a in g.arcs])
+    z_arr = np.array([a.weight for a in g.arcs])
+
+    def node_ecc(n) -> float:
+        base = darr[n]
+        over_arcs = (base[p_idx] + base[q_idx] + z_arr) / 2.0
+        return max(float(base.max()), float(over_arcs.max()))
+
+    best = min(node_ecc(n) for n in nodes)
+
+    for ai, arc in enumerate(g.arcs):
+        w = arc.weight
+        du, dv = darr[arc.u], darr[arc.v]
+        detour = _dijkstra(adj, arc.u, skip_arc=ai)[0].get(arc.v, math.inf)
+        cap = (w + detour) / 2.0 if math.isfinite(detour) else math.inf
+
+        def eval_terms(t: float) -> np.ndarray:
+            f = np.minimum(t + du, (w - t) + dv)
+            over_arcs = (f[p_idx] + f[q_idx] + z_arr) / 2.0
+            over_arcs[ai] = max(min(t, cap), min(w - t, cap))
+            return np.concatenate([f, over_arcs])
+
+        breaks = {0.0, w, w / 2.0}
+        crossing = (w + dv - du) / 2.0
+        for t in crossing:
+            if 0.0 < t < w:
+                breaks.add(float(t))
+        if math.isfinite(cap):
+            for t in ((w - detour) / 2.0, (w + detour) / 2.0):
+                if 0.0 < t < w:
+                    breaks.add(t)
+        grid = sorted(breaks)
+
+        for t1, t2 in zip(grid, grid[1:]):
+            if t2 - t1 < 1e-14:
+                continue
+            v1 = eval_terms(t1)
+            v2 = eval_terms(t2)
+            e1, e2 = float(v1.max()), float(v2.max())
+            cand = min(e1, e2)
+            slope = (v2 - v1) / (t2 - t1)
+            rising = slope > 0.5
+            falling = slope < -0.5
+            if rising.any() and falling.any():
+                b_plus = float((v1[rising] - t1).max())
+                b_minus = float((v1[falling] + t1).max())
+                t_star = (b_minus - b_plus) / 2.0
+                if t1 < t_star < t2:
+                    flat = ~(rising | falling)
+                    e_star = (b_plus + b_minus) / 2.0
+                    if flat.any():
+                        e_star = max(e_star, float(v1[flat].max()))
+                    cand = min(cand, e_star)
+            if cand < best:
+                best = cand
+
+    return EccentricityBounds(best, best)
 
 
 def fine_sample_min_eccentricity(g, step):
@@ -305,6 +413,10 @@ def test_corner_angle_domain():
     with pytest.raises(PfcError, match=r"nonpositive length in corner "
                                        r"\(0\.0, 1\.0, 1\.0\)"):
         corner_angle(0.0, 1.0, 1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(PfcError, match=f"non-finite length in corner "
+                                           rf"\({bad}, 1\.0, 1\.0\)"):
+            corner_angle(bad, 1.0, 1.0)
 
 
 def test_corner_angle_range_and_triangle_sum():
@@ -444,11 +556,9 @@ def test_min_ecc_brackets_oracle_on_random_graphs():
     rng = random.Random(9)
     graphs = [g for g in random_graphs(rng, max_nodes=5, count=6)
               if 0 < len(g.arcs) <= 5][:14]
-    from pfcomplex.metric import _is_connected
-
     delta = 0.1
     for g in graphs:
-        if not _is_connected(g):
+        if not is_connected_oracle(g):
             continue
         e = min_eccentricity(g, delta)
         step = delta / 10
@@ -476,6 +586,58 @@ def test_min_ecc_disconnected_flag():
 def test_min_ecc_rejects_bad_resolution():
     with pytest.raises(PfcError, match="resolution must be positive, got 0"):
         min_eccentricity(MetricGraph((0, 1), (Arc(0, 1, 1.0),)), delta=0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(PfcError, match=f"resolution must be finite, got {bad}"):
+            min_eccentricity(MetricGraph((0, 1), (Arc(0, 1, 1.0),)), delta=bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_metric_graph_rejects_non_finite_weights(bad):
+    with pytest.raises(PfcError, match=f"non-finite arc weight {bad}"):
+        MetricGraph((0, 1), (Arc(0, 1, bad), Arc(0, 1, 1.0)))
+
+
+def builder_link_graphs():
+    """Vertex links of the builders' 2-complexes, one per order type.
+
+    Two links whose node lists and arcs agree after replacing each node by
+    its rank are processed identically (same comparisons, same floats), so
+    one of each stands for all 5,009.
+    """
+    mcs = [free_group_complex(n) for n in (2, 3, 5, 8, 12, 20)]
+    mcs += [genus_surface(n) for n in (2, 3, 4, 6)]
+    mcs += [genus_surface(4, identify_segments=False), flat_torus2(3),
+            flat_torus2(5), example1_interface_complex(),
+            example1_interface_complex([2 * math.pi / 3] * 3),
+            simplex_complex(2)]
+    kinds = {}
+    for mc in mcs:
+        for v in mc.complex.vertices:
+            g = vertex_link_graph(mc, v)
+            rank = {n: i for i, n in enumerate(sorted(g.nodes))}
+            key = (tuple(rank[n] for n in g.nodes),
+                   tuple((rank[a.u], rank[a.v], a.weight) for a in g.arcs))
+            kinds.setdefault(key, g)
+    return list(kinds.values())
+
+
+def test_min_ecc_equals_detour_search_oracle():
+    """Bitwise equal to the per-arc detour search on builder links and on
+    random multigraphs with parallel arcs, tied weights and several
+    components."""
+    rng = random.Random(2027)
+    graphs = builder_link_graphs()
+    for _ in range(3000):
+        n = rng.randint(1, 6)
+        arcs = [Arc(*rng.sample(range(n), 2),
+                    rng.choice((rng.uniform(0.05, 3.0), math.pi / rng.randint(1, 4))))
+                for _ in range(rng.randint(0, 8) if n > 1 else 0)]
+        graphs.append(MetricGraph(tuple(range(n)), tuple(arcs)))
+    results = [min_eccentricity(g) for g in graphs]
+    assert results == [min_eccentricity_oracle(g) for g in graphs]
+    assert sum(not e.connected for e in results) > 300
+    assert sum(len({frozenset(a[:2]) for a in g.arcs}) < len(g.arcs)
+               for g in graphs) > 1000
 
 
 # --- curvature checks --------------------------------------------------------
@@ -536,6 +698,12 @@ def test_cat0_rejects_high_dimension():
     with pytest.raises(PfcError, match="link condition check requires "
                                        "dim <= 2, got 3"):
         cat0_two_complex_check(simplex_complex(3))
+
+
+def test_edge_link_check_rejects_high_dimension():
+    with pytest.raises(PfcError, match="edge link check requires "
+                                       "dim <= 3, got 4"):
+        npc_edge_link_check(simplex_complex(4))
 
 
 def test_extendability_delta2_fails():
