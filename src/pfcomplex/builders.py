@@ -50,6 +50,7 @@ from .metric import (
 from .report import CONTRADICTION, FAIL, PASS, PfcError
 
 _AXES = np.eye(3, dtype=int)
+_GCIFY_ROUNDS = 6  # midpoint subdivisions before gcify gives up
 
 
 # ---------------------------------------------------------------------------
@@ -271,14 +272,14 @@ def _double_torus_block(sides, m: int):
     return block, interface
 
 
-def glue_double_tori(base: MetricComplex, interfaces, torus_subdivision: int = 3,
+def glue_double_tori(base: MetricComplex, interfaces,
                      name: str | None = None) -> MetricComplex:
     """Attach one double-torus block to the base along each marked triangle.
 
-    Each block is two flat 3-tori sharing a triangle; its lattice is adapted
-    so that shared triangle is congruent to the marked one, which makes every
-    identification an isometry.  The Euler characteristic drops by 2 per
-    marked triangle.
+    Each block is two flat 3-tori on 3x3x3 grids sharing a triangle; its
+    lattice is adapted so that shared triangle is congruent to the marked
+    one, which makes every identification an isometry.  The Euler
+    characteristic drops by 2 per marked triangle.
     """
     marked = [canonical_simplex(t) for t in interfaces]
     for t in marked:
@@ -297,7 +298,7 @@ def glue_double_tori(base: MetricComplex, interfaces, torus_subdivision: int = 3
         sides = (base.length(p0, p1), base.length(p1, p2), base.length(p0, p2))
         key = tuple(round(s, 12) for s in sides)
         if key not in block_cache:
-            block, interface = _double_torus_block(sides, torus_subdivision)
+            block, interface = _double_torus_block(sides, 3)
             block_cache[key] = block, interface, len(block.complex.vertices)
         block, interface, nverts = block_cache[key]
         for s in block.complex.simplices:
@@ -681,7 +682,7 @@ def _split_tetrahedron(s, m, mc, lengths):
     return corner + central
 
 
-def gcify(mc: MetricComplex, max_rounds: int = 6) -> GcifyResult:
+def gcify(mc: MetricComplex) -> GcifyResult:
     """Remove every free face; the fundamental group gains a free factor.
 
     Free faces disappear through two homotopy-controlled moves.  Isometric
@@ -715,10 +716,10 @@ def gcify(mc: MetricComplex, max_rounds: int = 6) -> GcifyResult:
                                         for e in core.k_simplices(1)})
             continue
         rounds += 1
-        if rounds > max_rounds:
+        if rounds > _GCIFY_ROUNDS:
             raise PfcError(
                 f"no identifiable pair among {len(frees)} free faces "
-                f"after {max_rounds} subdivision rounds")
+                f"after {_GCIFY_ROUNDS} subdivision rounds")
         # uniform halving keeps piece lengths commensurable
         work = midpoint_subdivision(work)
     return GcifyResult(work, added)

@@ -3,16 +3,17 @@ Simplicial homology over the integers and over GF(2).
 
 Boundary matrices use the standard alternating-sign convention over Z and
 all-ones over GF(2), with rows and columns in lexicographic simplex order.
-Betti numbers come from one exact computation, the Smith normal form with
-arbitrary-precision integers.  GF(2) ranks follow from it by the universal
-coefficient theorem: an invariant factor stays a unit mod 2 unless it is
+Betti numbers come from one exact computation with arbitrary-precision
+integers: one sparse pivot loop brings each boundary to a diagonal form,
+always pivoting on an entry of least absolute value.  The number of entries
+is the rank, and the entries give the torsion.  GF(2) ranks follow by the
+universal coefficient theorem: an entry stays a unit mod 2 unless it is
 even.  To keep the torus-gluing fixtures (hundreds of thousands of cells)
-inside a desk-scale time budget, rank computation runs on a Morse complex:
+inside a desk-scale time budget, the loop runs on a Morse complex:
 coreduction (Mrozek & Batko) on integer cell ids pairs each cell that has a
 single working face with that face and carries the boundary of the
 critical cells exactly, as in Harker, Mischaikow, Mrozek & Nanda.  Only the
-critical cells, usually as many as the Betti numbers need, go through the
-Smith reduction.
+critical cells, usually as many as the Betti numbers need, are diagonalised.
 """
 
 from __future__ import annotations
@@ -80,8 +81,7 @@ def boundary_matrix(c: Complex, k: int, ring: str = RING_Z) -> ChainMatrix:
 
 # ---------------------------------------------------------------------------
 # Coreduction: pair off cells that provably do not change homology and keep
-# the boundary of the rest, so only a small Morse complex reaches the matrix
-# algorithms.
+# the boundary of the rest, so only a small Morse complex is diagonalised.
 
 
 def _morse_core(c: Complex, excluded) -> list[dict]:
@@ -150,120 +150,74 @@ def _morse_core(c: Complex, excluded) -> list[dict]:
 
 
 # ---------------------------------------------------------------------------
-# exact rank / Smith normal form on sparse integer matrices
+# exact diagonal form of sparse integer matrices
 
 
-def _snf_dense_core(cols):
-    """Diagonal reduction for a small core with no unit entries.
+def _diagonal(columns) -> list[int]:
+    """Nonzero entries of a diagonal form of an integer matrix.
 
-    cols: list of dicts row->coeff.  Returns the nonzero entries of a
-    diagonal form; their count is the rank, their odd ones the GF(2) rank,
-    and _normalize_factors turns them into invariant factors.
-    """
-    rows = sorted({r for col in cols for r in col})
-    ridx = {r: i for i, r in enumerate(rows)}
-    m = [[0] * len(cols) for _ in rows]
-    for j, col in enumerate(cols):
-        for r, v in col.items():
-            m[ridx[r]][j] = v
-    diag = []
-    top = 0
-    n_r, n_c = len(m), len(cols)
-    while top < n_r and top < n_c:
-        # locate minimal nonzero pivot
-        best = None
-        for i in range(top, n_r):
-            for j in range(top, n_c):
-                if m[i][j] and (best is None or abs(m[i][j]) < abs(m[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        i, j = best
-        m[top], m[i] = m[i], m[top]
-        for row in m:
-            row[top], row[j] = row[j], row[top]
-        # clear row and column by Euclidean steps
-        dirty = False
-        for i in range(top + 1, n_r):
-            if m[i][top]:
-                q = m[i][top] // m[top][top]
-                for j in range(top, n_c):
-                    m[i][j] -= q * m[top][j]
-                if m[i][top]:
-                    dirty = True
-        for j in range(top + 1, n_c):
-            if m[top][j]:
-                q = m[top][j] // m[top][top]
-                for i in range(top, n_r):
-                    m[i][j] -= q * m[i][top]
-                if m[top][j]:
-                    dirty = True
-        if dirty:
-            continue
-        diag.append(abs(m[top][top]))
-        top += 1
-    return diag
-
-
-def _eliminate_integer(columns):
-    """Unit-pivot elimination; returns (unit_rank, leftover diagonal entries).
-
-    columns: dict col_key -> {row_key: int}.  Pivots of absolute value one are
-    eliminated with integer column operations (no divisions, exact); whatever
-    survives without unit entries is diagonalized by Euclidean steps.
-    Pivot columns are chosen smallest-first through a lazy heap, which keeps
-    fill-in low on boundary matrices.
+    columns: col key -> {row key: int}.  The entries' count is the rank,
+    their odd ones count the GF(2) rank, and _normalize_factors turns them
+    into invariant factors.  The pivot is an entry of least absolute value;
+    ties go to the shortest column, then to the row in the fewest columns.
+    A lazy heap of columns keeps that order, so unit pivots come first and
+    fill-in stays low.  Column operations with floor quotients clear the
+    pivot row; once the pivot column alone holds it, row operations only
+    reduce that column modulo the pivot.  A remainder left by either step is
+    smaller than the pivot and becomes the next one, so every step is exact
+    and the loop ends.
     """
     cols = {k: dict(v) for k, v in columns.items() if v}
     rows = {}
     for ck, col in cols.items():
         for r in col:
             rows.setdefault(r, set()).add(ck)
-    heap = [(len(col), ck) for ck, col in cols.items()]
+
+    def key(ck):
+        col = cols[ck]
+        return min(map(abs, col.values())), len(col), ck
+
+    heap = [key(ck) for ck in cols]
     heapq.heapify(heap)
-    stalled = set()
-    rank = 0
+    diag = []
     while heap:
-        deg, pc = heapq.heappop(heap)
-        col = cols.get(pc)
-        if col is None or pc in stalled:
+        top = heapq.heappop(heap)
+        pc = top[2]
+        # every change pushes the column's new key, so stale entries go
+        if pc not in cols or top != key(pc):
             continue
-        if len(col) != deg:  # stale heap entry
-            heapq.heappush(heap, (len(col), pc))
-            continue
-        units = [r for r, v in col.items() if v in (1, -1)]
-        if not units:
-            stalled.add(pc)
-            continue
-        pr = min(units, key=lambda r: (len(rows[r]), r))
-        pcol = cols.pop(pc)
+        pcol = cols[pc]
+        pr = min((r for r, v in pcol.items() if abs(v) == top[0]),
+                 key=lambda r: (len(rows[r]), r))
         pval = pcol[pr]
-        for r in pcol:
-            rows[r].discard(pc)
-        for other in list(rows.get(pr, ())):
+        for other in rows[pr] - {pc}:
             ocol = cols[other]
-            factor = ocol[pr] * pval  # pval in {1,-1}: multiply = divide
+            q = ocol[pr] // pval
             for r, v in pcol.items():
-                nv = ocol.get(r, 0) - factor * v
-                if nv:
-                    if r not in ocol:
-                        rows.setdefault(r, set()).add(other)
-                    ocol[r] = nv
-                else:
-                    if r in ocol:
-                        del ocol[r]
-                        rows[r].discard(other)
-            if not ocol:
-                del cols[other]
-                stalled.discard(other)
+                ocol[r] = ocol.get(r, 0) - q * v
+                rows[r].add(other)
+                if not ocol[r]:
+                    del ocol[r]
+                    rows[r].discard(other)
+            if ocol:
+                heapq.heappush(heap, key(other))
             else:
-                heapq.heappush(heap, (len(ocol), other))
-                if other in stalled:
-                    stalled.discard(other)
-        rows.pop(pr, None)
-        rank += 1
-    leftover = _snf_dense_core([cols[k] for k in sorted(cols)]) if cols else []
-    return rank, leftover
+                del cols[other]
+        if len(rows[pr]) > 1:  # a remainder in the pivot row is next
+            heapq.heappush(heap, top)
+            continue
+        for r in list(pcol):
+            if r != pr:
+                pcol[r] %= pval
+                if not pcol[r]:
+                    del pcol[r]
+                    rows[r].discard(pc)
+        if len(pcol) == 1:
+            diag.append(abs(pval))
+            del cols[pc], rows[pr]
+        else:
+            heapq.heappush(heap, key(pc))
+    return diag
 
 
 def _normalize_factors(factors):
@@ -323,21 +277,16 @@ def betti(c: Complex, ring: str = RING_Z, relative_to: Complex | None = None) ->
         excluded = relative_to.simplices
 
     core = _morse_core(c, excluded)
-    ranks_of_boundary = [0] * (dim + 2)
-    torsion_of_boundary: list[tuple] = [()] * (dim + 2)
-    for k in range(1, dim + 1):
-        rank, leftover = _eliminate_integer(core[k])
-        if ring == RING_GF2:
-            # universal coefficients: a diagonal entry survives mod 2 unless
-            # it is even, and any diagonal form has as many even entries as
-            # the invariant factors do
-            leftover = [f for f in leftover if f % 2]
-        ranks_of_boundary[k] = rank + len(leftover)
-        torsion_of_boundary[k] = _normalize_factors(leftover)
-
-    ranks = [len(core[k]) - ranks_of_boundary[k] - ranks_of_boundary[k + 1]
+    # diagonal entries of the boundaries d_0 = 0, d_1, ..., d_dim, d_dim+1 = 0
+    diags = [[]] + [_diagonal(core[k]) for k in range(1, dim + 1)] + [[]]
+    if ring == RING_GF2:
+        # universal coefficients: a diagonal entry survives mod 2 unless it
+        # is even, and any diagonal form has as many even entries as the
+        # invariant factors do
+        diags = [[f for f in d if f % 2] for d in diags]
+    ranks = [len(core[k]) - len(diags[k]) - len(diags[k + 1])
              for k in range(dim + 1)]
-    torsion = torsion_of_boundary[1:] if ring == RING_Z else [()] * (dim + 1)
+    torsion = [_normalize_factors(d) if ring == RING_Z else () for d in diags[1:]]
     return BettiVector(tuple(ranks), tuple(torsion), ring)
 
 

@@ -73,16 +73,15 @@ class MetricComplex:
 # flat realizability
 
 
-def _realizable_rows(lengths: np.ndarray, dim: int,
-                     eps: float = EPS_CM) -> np.ndarray:
+def _realizable_rows(lengths: np.ndarray, dim: int) -> np.ndarray:
     """Flat realizability of N dim-simplices, one per row of lengths.
 
     `lengths` has shape (N, C(dim+1, 2)), each row in canonical vertex-pair
     order.  On every face of m >= 3 vertices the Cayley-Menger determinant
-    must have sign (-1)^m and magnitude above eps * scale^(m-1), where scale
-    is the largest squared edge of the whole simplex; one determinant call
-    per face pattern covers all N rows.  Rows whose squares or tolerances
-    overflow float64 are rejected.
+    must have sign (-1)^m and magnitude above EPS_CM * scale^(m-1), where
+    scale is the largest squared edge of the whole simplex; one determinant
+    call per face pattern covers all N rows.  Rows whose squares or
+    tolerances overflow float64 are rejected.
     """
     n = dim + 1
     i, j = np.triu_indices(n, 1)
@@ -94,14 +93,14 @@ def _realizable_rows(lengths: np.ndarray, dim: int,
         ok = (scale > 0) & ((lengths > 0) & (lengths < math.inf)).all(axis=1)
         for m in range(3, n + 1):
             sign = -1 if m % 2 else 1
-            tol = eps * scale ** (m - 1)
+            tol = EPS_CM * scale ** (m - 1)
             for subset in combinations(range(1, n + 1), m):
                 idx = np.array([0, *subset])
                 ok &= sign * np.linalg.det(cm[:, idx[:, None], idx]) > tol
     return ok
 
 
-def realizable(edge_lengths: list, dim: int, eps: float = EPS_CM) -> bool:
+def realizable(edge_lengths: list, dim: int) -> bool:
     """Whether a flat nondegenerate simplex with these edge lengths exists.
 
     Lengths are given in canonical vertex-pair order, C(dim+1, 2) of them;
@@ -113,7 +112,7 @@ def realizable(edge_lengths: list, dim: int, eps: float = EPS_CM) -> bool:
             f"expected {npairs} edge lengths for a {dim}-simplex, "
             f"got {len(edge_lengths)}")
     row = np.asarray(edge_lengths, dtype=float).reshape(1, npairs)
-    return bool(_realizable_rows(row, dim, eps)[0])
+    return bool(_realizable_rows(row, dim)[0])
 
 
 def corner_angle(a: float, b: float, c: float) -> float:
@@ -172,7 +171,7 @@ def dihedral_angle(mc: MetricComplex, tet, edge) -> float:
     return math.acos(max(-1.0, min(1.0, arg)))
 
 
-def validate_metric(mc: MetricComplex, eps: float = EPS_CM) -> None:
+def validate_metric(mc: MetricComplex) -> None:
     """Raise MetricError unless every simplex is flatly realizable."""
     for e in mc.complex.k_simplices(1):
         l = mc.lengths.get(e)
@@ -185,7 +184,7 @@ def validate_metric(mc: MetricComplex, eps: float = EPS_CM) -> None:
         lengths = np.array([mc.lengths.get(e, math.nan) for s in simplices
                             for e in combinations(s, 2)], dtype=float)
         shape = (len(simplices), k * (k + 1) // 2)
-        bad = np.flatnonzero(~_realizable_rows(lengths.reshape(shape), k, eps))
+        bad = np.flatnonzero(~_realizable_rows(lengths.reshape(shape), k))
         if bad.size:
             raise MetricError(
                 f"simplex {simplices[bad[0]]} is not flatly realizable")
@@ -361,12 +360,14 @@ def min_eccentricity(g: MetricGraph, delta: float = DEFAULT_DELTA) -> Eccentrici
     absolute centre of Hakimi (1964), from node-to-node distances alone.  At
     distance t along an arc (p, q, w) a node x is f(x) = min(t + d(p, x),
     (w - t) + d(q, x)) away, the far point of another arc (a, b, z) is
-    (f(a) + f(b) + z) / 2 away, and that of the arc itself max(min(t, cap),
-    min(w - t, cap)) with cap = (w + d(p, q)) / 2.  That cap is exact: a
-    p-q path through the arc is at least w long, so d(p, q) < w is the
-    detour around it, and at d(p, q) = w the cap never binds.  All slopes
-    lie in {-1, 0, 1}, so the minimum is exact on the breakpoint grid and
-    where rising and falling terms cross; the returned interval is
+    (f(a) + f(b) + z) / 2 away, and that of the arc itself max(t, w - t).
+    That term ignores the detour around the arc, which caps it at
+    (w + d(p, q)) / 2, yet the minimum stays exact.  Each node is evaluated
+    exactly through its lightest arc, which is geodesic.  On a non-geodesic
+    arc, within (w - d(p, q)) / 2 of p the eccentricity is at least p's,
+    and likewise at q, so the cap never binds where the minimum lies.  All
+    slopes lie in {-1, 0, 1}, so the minimum is exact on the breakpoint
+    grid and where rising and falling terms cross; the returned interval is
     degenerate (lo == hi).  `delta` is kept as the requested resolution
     bound and only validated; the exact optimum trivially satisfies
     hi - lo <= 2*delta.
@@ -392,13 +393,12 @@ def min_eccentricity(g: MetricGraph, delta: float = DEFAULT_DELTA) -> Eccentrici
     best = math.inf
     for ai, (p, q, w) in enumerate(zip(p_idx.tolist(), q_idx.tolist(), z_arr.tolist())):
         du, dv = dist[p], dist[q]
-        cap = (w + du[q]) / 2.0
-        cuts = np.append((w + dv - du) / 2.0, ((w - du[q]) / 2.0, cap))
+        cuts = (w + dv - du) / 2.0
         t = np.array(sorted({0.0, w, w / 2.0, *cuts[(0.0 < cuts) & (cuts < w)].tolist()}))
         # one row per grid point: node terms, then far points of the arcs
         f = np.minimum(t[:, None] + du, (w - t[:, None]) + dv)
         over_arcs = (f[:, p_idx] + f[:, q_idx] + z_arr) / 2.0
-        over_arcs[:, ai] = np.maximum(np.minimum(t, cap), np.minimum(w - t, cap))
+        over_arcs[:, ai] = np.maximum(t, w - t)
         v = np.concatenate([f, over_arcs], axis=1)
         best = min(best, float(v.max(axis=1).min()))
 

@@ -438,6 +438,32 @@ def test_morse_core_of_house_is_small():
     assert sum(critical_counts(house_with_two_rooms().complex)) <= 4
 
 
+def disjoint_copies(c, n):
+    """n disjoint copies of the complex, on shifted vertex ids."""
+    shift = max(c.vertices) + 1
+    return build_complex([tuple(v + i * shift for v in s)
+                          for i in range(n) for s in c.facets()])
+
+
+def test_disjoint_projective_planes_carry_torsion_in_every_copy():
+    rp2 = build_complex([
+        (0, 1, 2), (0, 1, 5), (0, 2, 4), (0, 3, 4), (0, 3, 5),
+        (1, 2, 3), (1, 3, 4), (1, 4, 5), (2, 3, 5), (2, 4, 5)])
+    c = disjoint_copies(rp2, 5)
+    assert betti_oracle(c) == ((5, 0, 0), ((), (2,) * 5, ()))
+    assert_matches_oracles(c)
+    assert betti(c, "z").torsion == ((), (2,) * 5, ())
+    assert betti(c, "z2").ranks == (5, 5, 5)
+
+
+def test_disjoint_houses_reduce_through_unit_pivots_at_scale():
+    c = disjoint_copies(house_with_two_rooms().complex, 30)
+    assert sum(1 for d in _morse_core(c, frozenset())[2].values() if d) == 60
+    assert betti(c, "z").ranks == (30, 0, 0)
+    assert betti(c, "z").torsion == ((), (), ())
+    assert betti(c, "z2").ranks == (30, 0, 0)
+
+
 def test_relative_containment_error():
     c = build_complex([(0, 1, 2)])
     other = build_complex([(5, 6)])
@@ -447,12 +473,22 @@ def test_relative_containment_error():
 
 
 def test_sparse_elimination_matches_dense_smith_on_random_matrices():
-    from pfcomplex.homology import _eliminate_integer, _normalize_factors
+    from pfcomplex.homology import _diagonal, _normalize_factors
 
     assert _normalize_factors([2, 3]) == (6,)
     rng = random.Random(99)
-    # diag(2, 3) has Smith form diag(1, 6): the unit must not count as torsion
-    matrices = [[[2, 0], [0, 3]]]
+    matrices = [
+        # diag(2, 3) has Smith form diag(1, 6): the unit must not count as
+        # torsion
+        [[2, 0], [0, 3]],
+        # rank 1, no torsion: the pivot 2 is recorded only after the row
+        # step has reduced the 3 below it
+        [[2], [3]],
+        # the column step leaves a remainder 1, which becomes the next pivot
+        [[2, 3]],
+        # rank 1 with invariant factor 1, reached only by Euclidean steps
+        [[4, 6], [6, 9]],
+    ]
     for _ in range(60):
         rows = rng.randint(1, 7)
         cols = rng.randint(1, 7)
@@ -465,12 +501,14 @@ def test_sparse_elimination_matches_dense_smith_on_random_matrices():
             col = {i: m[i][j] for i in range(rows) if m[i][j]}
             if col:
                 columns[(j,)] = col
-        rank, leftover = _eliminate_integer(columns)
-        got_rank = rank + len(leftover)
-        got_torsion = _normalize_factors(leftover)
+        entries = _diagonal(columns)
+        got_rank = len(entries)
+        got_torsion = _normalize_factors(entries)
         diag = dense_smith_diagonal(m)
         assert got_rank == len(diag)
         assert got_torsion == tuple(sorted(x for x in diag if x > 1))
+        # the GF(2) rank is the number of odd entries of any diagonal form
+        assert sum(x % 2 for x in entries) == sum(x % 2 for x in diag)
 
 
 def test_long_exact_sequence_euler_identity():
