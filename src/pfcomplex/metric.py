@@ -7,7 +7,8 @@ patterns).  Vertex and edge links become weighted multigraphs whose arc
 weights are corner and dihedral angles; the nonpositive-curvature condition
 for 2-complexes is "no vertex link has an injective loop shorter than 2*pi",
 and geodesic extendability additionally needs every link point to see some
-other link point at distance at least pi.
+other link point at distance at least pi.  Dihedral angles and link
+eccentricities are memoised on their exact inputs (see the README).
 """
 
 from __future__ import annotations
@@ -53,6 +54,8 @@ class MetricComplex:
 
     complex: Complex
     lengths: dict = field(compare=False)
+    _dihedrals: dict = field(default_factory=dict, init=False, repr=False,
+                             compare=False)
 
     def length(self, u: int, v: int) -> float:
         try:
@@ -155,11 +158,10 @@ def dihedral_angle(mc: MetricComplex, tet, edge) -> float:
     rest = [v for v in tet if v not in (a, b)]
     if len(rest) != 2:
         raise PfcError(f"{edge} is not an edge of {tet}")
-    c, d = rest
-    order = [a, b, c, d]
-    lengths = [mc.length(x, y) for x, y in combinations(order, 2)]
-    pts = embed_simplex(lengths, 3)
-    pa, pb, pc, pd = pts
+    lengths = tuple(mc.length(x, y) for x, y in combinations([a, b, *rest], 2))
+    if lengths in mc._dihedrals:
+        return mc._dihedrals[lengths]
+    pa, pb, pc, pd = embed_simplex(lengths, 3)
     e = pb - pa
     e = e / np.linalg.norm(e)
     u = (pc - pa) - np.dot(pc - pa, e) * e
@@ -167,8 +169,8 @@ def dihedral_angle(mc: MetricComplex, tet, edge) -> float:
     nu, nv = np.linalg.norm(u), np.linalg.norm(v)
     if nu == 0 or nv == 0:
         raise MetricError(f"degenerate dihedral in {tet} along {edge}")
-    arg = float(np.dot(u, v) / (nu * nv))
-    return math.acos(max(-1.0, min(1.0, arg)))
+    arg = max(-1.0, min(1.0, float(np.dot(u, v) / (nu * nv))))
+    return mc._dihedrals.setdefault(lengths, math.acos(arg))
 
 
 def validate_metric(mc: MetricComplex) -> None:
@@ -275,8 +277,10 @@ def edge_link_graph(mc: MetricComplex, e) -> MetricGraph:
     eset = set(e)
     nodes = []
     arcs = []
-    for s in c.vertex_star[e[0]]:
-        if e[1] not in s:
+    # both stars hold their cells in the complex's (len, lex) order, so the
+    # cells with both endpoints come out of the smaller one in the same order
+    for s in min(c.vertex_star[e[0]], c.vertex_star[e[1]], key=len):
+        if not eset.issubset(s):
             continue
         if len(s) == 3:
             nodes.append(next(x for x in s if x not in eset))
@@ -486,11 +490,17 @@ def extendability_check(mc: MetricComplex) -> CheckReport:
     faces = free_face_check(mc.complex)
     items = list(faces.items)
     ok = faces.verdict == PASS
+    memo = {}  # keyed by the rank-relabelled link; ranks keep every tie-break
     for v in mc.complex.vertices:
         g = vertex_link_graph(mc, v)
         if not g.nodes:
             continue  # isolated vertex: already reported as a free situation
-        ecc = min_eccentricity(g)
+        rank = {n: i for i, n in enumerate(sorted(g.nodes))}
+        key = (tuple(rank[n] for n in g.nodes),
+               tuple((rank[a.u], rank[a.v], a.weight) for a in g.arcs))
+        if key not in memo:
+            memo[key] = min_eccentricity(g)
+        ecc = memo[key]
         bad = ecc.lo < math.pi - EPS_ANG
         ok = ok and not bad
         items.append(CheckItem(f"vertex {v}", ecc.lo, math.pi,

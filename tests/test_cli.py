@@ -1,5 +1,6 @@
 """The pfc command line and the PFC interchange format."""
 
+import hashlib
 import io
 import json
 import math
@@ -222,6 +223,30 @@ def test_report_example2():
     assert payload["solid_chain_verdict"] == "contradiction"
     assert payload["glued_b3_z"] == payload["expected_b3"] == \
         2 * payload["house_triangles"]
+
+
+@pytest.fixture(scope="module")
+def pfc_files(tmp_path_factory):
+    built = tmp_path_factory.mktemp("built") / "freegroup20.pfc"
+    assert run(["build", "freegroup", "20", "-o", str(built)])[0] == 0
+    return {"example1": fixture("example1.pfc"), "freegroup20": str(built)}
+
+
+@pytest.mark.parametrize("check, target, code, digest", [
+    ("link-cat0", "example1", 3,
+     "9d6cc45f6edb281a259075b447843041e8e3c8674910f406bc68c3d1a258d835"),
+    ("extendability", "freegroup20", 0,
+     "69882cfabc4c6be63eaddf30ba2e323d7d0c1d7f6c9a2a5e7d0c508cbaf46da6"),
+    ("link-cat0", "freegroup20", 0,
+     "98d387f5fa5117ac05915a278daa710537816956eff4cd9d9883ccac44627459"),
+], ids=["link-cat0-example1", "extendability-freegroup20",
+        "link-cat0-freegroup20"])
+def test_check_json_bytes_are_pinned(check, target, code, digest, pfc_files):
+    """Link-condition and extendability reports keep their exact bytes: the
+    sha256 of `--json` stdout as captured before links were memoised."""
+    got, out = run(["check", check, pfc_files[target], "--json"])
+    assert got == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_all_fixtures_round_trip():

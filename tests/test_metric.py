@@ -3,13 +3,17 @@
 import itertools
 import math
 import random
+import re
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pfcomplex import (
     Arc,
+    CheckItem,
+    CheckReport,
     EccentricityBounds,
     MetricComplex,
     MetricError,
@@ -24,6 +28,7 @@ from pfcomplex import (
     extendability_check,
     flat_torus2,
     flat_torus3,
+    free_face_check,
     free_faces,
     free_group_complex,
     gauss_bonnet,
@@ -33,7 +38,9 @@ from pfcomplex import (
     link_condition_check,
     min_eccentricity,
     npc_edge_link_check,
+    parse,
     realizable,
+    shortest_cycle,
     simplex_complex,
     star,
     validate_metric,
@@ -41,6 +48,7 @@ from pfcomplex import (
 )
 from pfcomplex.metric import (
     DEFAULT_DELTA,
+    EPS_ANG,
     EPS_CM,
     _adjacency,
     _dijkstra,
@@ -48,6 +56,7 @@ from pfcomplex.metric import (
 )
 
 TWO_PI = 2 * math.pi
+EXAMPLE1 = Path(__file__).resolve().parent.parent / "fixtures" / "example1.pfc"
 
 
 # --- brute-force oracles ---------------------------------------------------
@@ -638,6 +647,96 @@ def test_min_ecc_equals_detour_search_oracle():
     assert sum(not e.connected for e in results) > 300
     assert sum(len({frozenset(a[:2]) for a in g.arcs}) < len(g.arcs)
                for g in graphs) > 1000
+
+
+# --- memoised link computations against fresh ones ------------------------
+# The two oracles are the check loops as they were before dihedral angles
+# and eccentricities were memoised: every dihedral angle is computed on a
+# fresh MetricComplex, and every link gets its own min_eccentricity call.
+
+def npc_edge_link_check_oracle(mc: MetricComplex) -> CheckReport:
+    items = []
+    for e in mc.complex.k_simplices(1):
+        eset = set(e)
+        nodes = []
+        arcs = []
+        for s in mc.complex.vertex_star[e[0]]:
+            if e[1] not in s:
+                continue
+            if len(s) == 3:
+                nodes.append(next(x for x in s if x not in eset))
+            elif len(s) == 4:
+                cc, dd = [x for x in s if x not in eset]
+                fresh = MetricComplex(mc.complex, mc.lengths)
+                arcs.append(Arc(cc, dd, dihedral_angle(fresh, s, e), tag=s))
+        length, cycle = shortest_cycle(MetricGraph(tuple(nodes), tuple(arcs)))
+        if length < TWO_PI - EPS_ANG:
+            items.append(CheckItem(f"edge {e}", length, TWO_PI, witness=cycle))
+    meta = {"necessary_conditions_only": True,
+            "condition": "girth(link(e)) >= 2*pi for every edge e"}
+    return CheckReport("fail" if items else "inconclusive", tuple(items), meta)
+
+
+def extendability_check_oracle(mc: MetricComplex) -> CheckReport:
+    faces = free_face_check(mc.complex)
+    items = list(faces.items)
+    ok = faces.verdict == "pass"
+    for v in mc.complex.vertices:
+        g = vertex_link_graph(mc, v)
+        if not g.nodes:
+            continue  # isolated vertex: already reported as a free situation
+        ecc = min_eccentricity(g)
+        bad = ecc.lo < math.pi - EPS_ANG
+        ok = ok and not bad
+        items.append(CheckItem(f"vertex {v}", ecc.lo, math.pi,
+                               witness=(ecc.lo, ecc.hi) if bad else None))
+    meta = {"condition": "no free faces and min eccentricity of every vertex "
+                         "link >= pi",
+            "dimension_restriction": "certified for complexes of dim <= 2"}
+    return CheckReport("pass" if ok else "fail", tuple(items), meta)
+
+
+def relabelled(mc: MetricComplex, seed: int) -> MetricComplex:
+    """The same metric complex with its vertex ids shuffled."""
+    vs = mc.complex.vertices
+    perm = dict(zip(vs, random.Random(seed).sample(vs, len(vs))))
+    c = build_complex([tuple(perm[v] for v in s) for s in mc.complex.facets()])
+    return MetricComplex(c, {tuple(sorted((perm[u], perm[v]))): l
+                             for (u, v), l in mc.lengths.items()})
+
+
+@pytest.mark.parametrize("seed", [None, 7])
+def test_memoised_checks_equal_fresh_computations(seed):
+    """Whole reports are `==` with and without the memos, at identity labels
+    and under a vertex permutation, where equal links carry other labels."""
+    example1 = parse(EXAMPLE1.read_text(encoding="utf-8"))
+    surfaces = [free_group_complex(8), free_group_complex(20),
+                genus_surface(6), flat_torus2(3)]
+    if seed is not None:
+        example1 = relabelled(example1, seed)
+        surfaces = [relabelled(mc, seed) for mc in surfaces]
+    assert npc_edge_link_check(example1) == \
+        npc_edge_link_check_oracle(example1)
+    for mc in surfaces:
+        assert extendability_check(mc) == extendability_check_oracle(mc)
+
+
+def test_degenerate_dihedrals_are_never_memoised():
+    """Two tetrahedra on the edge (0, 1) share the sextuple of a tetrahedron
+    whose vertex 2 sits on vertex 0; each call raises for its own tet."""
+    c = build_complex([(0, 1, 2, 3), (0, 1, 4, 5)])
+    lengths = {e: 1.0 for e in c.k_simplices(1)}
+    lengths[(0, 2)] = lengths[(0, 4)] = 0.0
+    mc = MetricComplex(c, lengths)
+    for tet in [(0, 1, 2, 3), (0, 1, 4, 5), (0, 1, 2, 3)]:
+        message = f"degenerate dihedral in {tet} along (0, 1)"
+        with pytest.raises(MetricError, match=re.escape(message)):
+            dihedral_angle(mc, tet, (0, 1))
+    # the same two tetrahedra with unit edges: the second call is a hit
+    unit = MetricComplex(c, {e: 1.0 for e in c.k_simplices(1)})
+    first = dihedral_angle(unit, (0, 1, 2, 3), (0, 1))
+    assert dihedral_angle(unit, (0, 1, 4, 5), (0, 1)) is first
+    assert first == dihedral_angle(simplex_complex(3), (0, 1, 2, 3), (0, 1))
 
 
 # --- curvature checks --------------------------------------------------------

@@ -9,6 +9,7 @@ if str(ROOT) not in sys.path:
     sys.path.insert(0, str(ROOT))
 
 import pfcomplex  # noqa: E402
+from pfcomplex import free_group_complex, metric, parse  # noqa: E402
 from perfbench.tracer import HOOKS, MODULES, Tracer  # noqa: E402
 
 HOLDERS = [pfcomplex, *MODULES.values()]
@@ -36,3 +37,26 @@ def test_install_then_uninstall_restores_every_module_attribute():
     finally:
         tracer.uninstall()
     assert _rebound(snapshot) == []
+
+
+def test_link_counters_and_eccentricity_spans_under_the_memos():
+    """One link is built per edge or vertex, as without the memos, so the
+    benchmark's links_built and link_arcs counters keep their meaning; at
+    identity labels freegroup8's 371 links have 42 order types, so 42
+    min_eccentricity calls reach the traced function."""
+    example1 = parse((ROOT / "fixtures" / "example1.pfc").read_text(
+        encoding="utf-8"))
+    freegroup8 = free_group_complex(8)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        metric.npc_edge_link_check(example1)
+        edge_links = tracer.counts["metric.links_built"]
+        metric.extendability_check(freegroup8)
+    finally:
+        tracer.uninstall()
+    assert edge_links == len(example1.complex.k_simplices(1)) == 1122
+    assert tracer.counts["metric.links_built"] - edge_links == \
+        len(freegroup8.complex.vertices) == 371
+    spans = [s[1] for s in tracer.spans]
+    assert spans.count("metric.min_eccentricity") == 42
