@@ -2,10 +2,12 @@
 
 import hashlib
 import io
+import json
 import math
 import random
 from itertools import permutations
 
+import numpy as np
 import pytest
 
 from pfcomplex import (
@@ -61,6 +63,21 @@ def test_torus3_rejects_small_grid():
 def test_torus3_rejects_singular_lattice():
     with pytest.raises(PfcError, match="lattice matrix is singular"):
         flat_torus3(3, shape=[[1, 0, 0], [0, 1, 0], [1, 1, 0]])
+
+
+@pytest.mark.parametrize("build, dim", [(flat_torus2, 2), (flat_torus3, 3)])
+def test_flat_torus_rejects_bad_lattice(build, dim):
+    """A non-finite entry, a wrong size or an overflowing edge length is a
+    PfcError, not a complex with NaN or inf lengths."""
+    for bad in (math.nan, math.inf, -math.inf):
+        shape = np.eye(dim)
+        shape[0, 0] = bad
+        with pytest.raises(PfcError, match=f"finite {dim}x{dim} matrix"):
+            build(3, shape)
+    with pytest.raises(PfcError, match=f"finite {dim}x{dim} matrix"):
+        build(3, np.eye(5 - dim))
+    with pytest.raises(PfcError, match="non-finite edge length"):
+        build(3, np.eye(dim) * 1e200)
 
 
 def test_torus3_betti():
@@ -337,6 +354,47 @@ def test_build_gcify_bytes_are_pinned(name, digest, tmp_path):
     out = io.StringIO()
     assert run_command(["build", "gcify", str(path)], out) == 0
     assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == digest
+
+
+def library_digest(mc):
+    """sha256 of the simplices and lengths with plain int vertex ids, so the
+    digest reads the same whatever integer type the ids have."""
+    simplices = sorted((tuple(int(v) for v in s) for s in mc.complex.simplices),
+                       key=lambda s: (len(s), s))
+    lengths = sorted((tuple(int(v) for v in e), l)
+                     for e, l in mc.lengths.items())
+    text = repr(simplices) + repr(lengths)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("build, digest", [
+    (lambda: flat_torus2(5, [[1, .3], [0, 1.2]]),
+     "378e2d9063b4c407c3f55fae0c5375cdfa5d0a10ce84da6c8a6502e9b737882c"),
+    (lambda: flat_torus3(3, [[1, .2, 0], [0, 1, .1], [0, 0, .9]]),
+     "35999a32f44f5531de81d019267a5248af666ba971c32c0526eaa34c1424b622"),
+    (lambda: box_complex(4, 3, 2),
+     "5119eb8bc96165c4afb30b48205c9c5cba5a7b32d8cdfa2db75ff2ef387551ec"),
+    (lambda: midpoint_subdivision(box_complex(2, 1, 1)),
+     "96a7fae6151228c9f75f75c3cc1641c1a323d6060e8ad5e8301f6f7b02300374"),
+    (lambda: midpoint_subdivision(simplex_complex(3)),
+     "da8df5c2558c63d0476f7a87a8f66bf6a4f919c1bcc3bb7ff8e25d2032975dd0"),
+], ids=["torus2", "torus3", "box432", "subdivided-box211",
+        "subdivided-simplex3"])
+def test_library_builders_are_pinned(build, digest):
+    """Builders without a `pfc build` target keep their simplices and
+    lengths, as captured before the builders shared one Freudenthal grid."""
+    assert library_digest(build()) == digest
+
+
+@pytest.mark.parametrize("build", [
+    lambda: flat_torus3(3), lambda: flat_torus2(3), house_with_two_rooms,
+    lambda: free_group_complex(3), lambda: genus_surface(2),
+], ids=["torus3", "torus2", "house", "freegroup3", "genus2"])
+def test_builder_vertex_ids_are_plain_ints(build):
+    """Vertex ids serialise as JSON.  box_complex is left out: its ids stay
+    numpy integers until the benchmark digests ids by value (ROADMAP item 2)."""
+    c = build().complex
+    json.dumps(sorted(c.simplices, key=lambda s: (len(s), s)))
 
 
 # --- midpoint subdivision --------------------------------------------------------

@@ -249,6 +249,34 @@ def test_check_json_bytes_are_pinned(check, target, code, digest, pfc_files):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("target, digest", [
+    ("example1",
+     "c59f83e3dd510989f4b9eeaafe21d8a0dc1ba318d6aadaf2ba7234a46035b24c"),
+    ("house",
+     "89b5ad1cc04509b79cc51a1500fd72d3685cb9df0f88b3825fb4ad18219a10e3"),
+    ("torus3",
+     "1202eec67f41bf0ee27988acd486495042a3c8536a5d6f0ad46e65c86dff02e8"),
+    ("torus3 4",
+     "48c237d7610b6e6526140b9ecc76d34f11f379f2caab3d450687ed7554acb2ed"),
+    ("freegroup 2",
+     "6e372172cdeb9aa526f5e09f671509e69523eb0095ace4167329538d14a5e6f4"),
+    ("freegroup 3",
+     "2bd6adac1681aea11dcc76a1fea1ed951c5ba8e6f9401e7b7ae15cc5430d99e7"),
+    ("freegroup 16",
+     "26a54e89133e19a6d0e27881765915abff2b8b914534de4ac1b61fe3a3da3db2"),
+    ("genus 2",
+     "b42d9867b951b2c9099f8aa0530407fd36c8950117944b4b577f42b5b5ce805c"),
+    ("genus 6",
+     "780c41d1c4043841a7ea3d4b51046ed63e3b02a7491f96dec490fa49d2cfdcc2"),
+])
+def test_build_bytes_are_pinned(target, digest):
+    """Every built complex keeps its exact bytes: the sha256 of `pfc build`
+    stdout as captured before the builders shared one Freudenthal grid."""
+    code, out = run(["build", *target.split()])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_all_fixtures_round_trip():
     for name in ("example1.pfc", "example1_interfaces.pfc",
                  "house.pfc", "torus3.pfc"):
