@@ -25,8 +25,6 @@ import numpy as np
 from .complexes import (
     Complex,
     QuotientDegeneracyError,
-    _check_simplicial,
-    _UnionFind,
     build_complex,
     canonical_simplex,
     collapse_core,
@@ -245,7 +243,7 @@ def _double_torus_block(sides, m: int):
     torus = flat_torus3(m, shape=_adapted_lattice(a, b, c))
     lam0 = (_torus_vid(m, 0, 0, 0), _torus_vid(m, 1, 0, 0),
             _torus_vid(m, 1, 1, 0))
-    both, shift = metric_disjoint_union(torus, torus)
+    both, (shift,) = metric_disjoint_union(torus, torus)
     lam1 = tuple(shift[v] for v in lam0)
     block, vm = metric_quotient(both, [_simplex_pair(lam1, lam0)])
     interface = tuple(vm[v] for v in lam0)
@@ -263,32 +261,27 @@ def glue_double_tori(base: MetricComplex, interfaces,
     """
     marked = [canonical_simplex(t) for t in interfaces]
     for t in marked:
+        if len(t) != 3:
+            raise PfcError(f"marked simplex {t} is not a triangle")
         if t not in base.complex.simplices:
             raise MetricError(f"marked triangle {t} not in the base complex")
     if not marked:
         return base
 
-    block_cache = {}
-    simplices = set(base.complex.simplices)
-    lengths = dict(base.lengths)
-    offset = max(base.complex.vertices) + 1
-    pairs = []
+    blocks = {}  # one block per congruence class of marked triangles
+    parts = []
     for t in marked:
         p0, p1, p2 = t
         sides = (base.length(p0, p1), base.length(p1, p2), base.length(p0, p2))
         key = tuple(round(s, 12) for s in sides)
-        if key not in block_cache:
-            block, interface = _double_torus_block(sides, 3)
-            block_cache[key] = block, interface, len(block.complex.vertices)
-        block, interface, nverts = block_cache[key]
-        for s in block.complex.simplices:
-            simplices.add(tuple(v + offset for v in s))
-        for (u, v), l in block.lengths.items():
-            lengths[edge_key(u + offset, v + offset)] = l
-        pairs.append(_simplex_pair([v + offset for v in interface], t))
-        offset += nverts
-
-    assembled = MetricComplex(Complex(frozenset(simplices), name=name), lengths)
+        if key not in blocks:
+            blocks[key] = _double_torus_block(sides, 3)
+        parts.append(blocks[key])
+    union, shifts = metric_disjoint_union(base, *(b for b, _ in parts))
+    pairs = [_simplex_pair([shift[v] for v in interface], t)
+             for t, (_, interface), shift in zip(marked, parts, shifts)]
+    assembled = MetricComplex(Complex(union.complex.simplices, name=name),
+                              union.lengths)
     return metric_quotient(assembled, pairs)[0]
 
 
@@ -677,7 +670,7 @@ def gcify(mc: MetricComplex) -> GcifyResult:
 def _apply_batch(work, batch):
     """Apply as large a prefix of the batch as validates in one quotient.
 
-    Pairs were validated one by one against the same complex; rare
+    Each pair is admissible on its own in the same complex; rare
     interactions between them are resolved by halving the batch.  Dropped
     pairs are rediscovered on the next sweep.
     """
@@ -694,20 +687,22 @@ def _identification_batch(mc: MetricComplex, frees):
 
     A free face may glue onto another free face (both stop being free) or
     onto any disjoint isometric simplex elsewhere in the complex, whose
-    cofaces it then shares.  Least-entangled free faces go first; each
-    candidate passes a local degeneracy check (the quotient validator
-    restricted to the affected stars), and accepted identifications claim
-    their affected vertices so the batch members cannot interact.
+    cofaces it then shares.  Least-entangled free faces go first, and
+    accepted identifications claim their affected vertices so the batch
+    members cannot interact.
 
-    Merging a vertex v of fa with a vertex w of a disjoint fb is never
-    admissible when v and w are at most 2 apart in the 1-skeleton: the edge
-    {v, w} degenerates, or the edges {u, v}, {u, w} through a common
-    neighbour u land on one image, while the pair only relates faces of fa
-    to faces of fb, and {u, w} is a face of neither.  A partner meeting the
-    closed neighbourhood of fa has a vertex within distance 2 of every
-    vertex of fa, so only partners outside it are tried, and among their
-    matchings only those whose merged vertices share no neighbour reach the
-    check.
+    Only partners fb outside the closed neighbourhood of fa are tried, and
+    only matchings whose merged vertices share no neighbour; this decides
+    admissibility exactly.  Merging v in fa with w in fb at most 2 apart
+    degenerates the edge {v, w}, or sends the unrelated edges {u, v} and
+    {u, w} through a common neighbour u onto one image; a partner meeting
+    the closed neighbourhood is that close to every vertex of fa.
+    Conversely, under the rule no simplex holds both vertices of a merged
+    pair, so none degenerates.  Two simplices landing on one image hold the
+    two vertices of some merged pair; an unmerged vertex of either would lie
+    in both, a common neighbour, so each lies in fa or in fb (never both,
+    as they are not adjacent), and they are a face of fa and its declared
+    image in fb.
     """
     nbrs = {v: {x for e in st if len(e) == 2 for x in e if x != v}
             for v, st in mc.complex.vertex_star.items()}
@@ -746,8 +741,7 @@ def _identification_batch(mc: MetricComplex, frees):
             far = _far_pairs(nbrs, fa, fb)
             found = next((perm for perm in permutations(fb)
                           if far.issuperset(zip(fa, perm))
-                          and _isometric_map(mc, fa, perm)
-                          and _pair_admissible(mc.complex, fa, perm)), None)
+                          and _isometric_map(mc, fa, perm)), None)
             if found:
                 break
         if found is None:
@@ -761,23 +755,6 @@ def _far_pairs(nbrs, fa, fb):
     """The pairs (v, w) of fa x fb whose vertices share no neighbour: for fb
     outside the closed neighbourhood of fa, those at least 3 apart."""
     return {(v, w) for v in fa for w in fb if nbrs[v].isdisjoint(nbrs[w])}
-
-
-def _pair_admissible(c, fa, perm) -> bool:
-    """Whether identifying fa with perm keeps the complex simplicial: the
-    quotient's check, run on the stars of the identified vertices."""
-    vmap = dict(zip(fa, perm))
-    rep = {}
-    for v, w in vmap.items():
-        rep[v] = rep[w] = min(v, w)
-    cells = _UnionFind()
-    for f in faces_of(fa):
-        cells.union(f, tuple(sorted(vmap[v] for v in f)))
-    try:
-        _check_simplicial((s for v in rep for s in c.vertex_star[v]), rep, cells)
-    except QuotientDegeneracyError:
-        return False
-    return True
 
 
 def _isometric_map(mc, fa, fb_ordered):

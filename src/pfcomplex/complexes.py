@@ -94,6 +94,11 @@ class CellIndex(NamedTuple):
         ptr = np.concatenate([[0], self.coface_counts().cumsum()])
         return ptr, owners[np.argsort(face_ids, kind="stable")]
 
+    def incidence_lists(self) -> tuple[list, list, list]:
+        """Face ids per cell and the cofaces (ptr, cob), as Python lists."""
+        ptr, cob = self.cofaces()
+        return [row for f in self.faces for row in f.tolist()], ptr.tolist(), cob.tolist()
+
 
 def _index_cells(simplices) -> CellIndex:
     """The (length, lex) numbering of a face-closed set of simplices.
@@ -286,8 +291,7 @@ def collapse_core(c: Complex) -> CollapseResult:
     itself is not canonical.
     """
     idx = c.index
-    faces = [row for f in idx.faces for row in f.tolist()]
-    ptr, cob = (a.tolist() for a in idx.cofaces())
+    faces, ptr, cob = idx.incidence_lists()
     n_co = [hi - lo for lo, hi in zip(ptr, ptr[1:])]
     alive = bytearray(b"\x01") * len(n_co)
     # coface counts only fall, so every free face enters the heap once, when
@@ -416,44 +420,33 @@ def quotient(c: Complex, pairs: Sequence) -> QuotientResult:
             out.add(tuple(vertex_map[v] for v in s))
         else:
             touched.append(s)
-    touched.sort(key=_sort_key)
-    images = _check_simplicial(touched, rep, cells)
-    out.update(tuple(rep_to_new[r] for r in img) for img in images)
-    return QuotientResult(Complex(frozenset(out), name=c.name), vertex_map)
-
-
-def _check_simplicial(affected, rep, related) -> dict:
-    """Image of each affected simplex once merged vertices meet their class.
-
-    affected holds the simplices meeting a merged vertex, rep sends each
-    merged vertex to its class representative, and related is the union-find
-    of the declared cell identifications.  Raises QuotientDegeneracyError at
-    the first simplex, in the order given, whose image degenerates or lands
-    on the image of an earlier one it is not identified with.  Returns each
-    image mapped to the first simplex landing on it.
-    """
-    images = {}
-    for s in affected:
+    images = {}  # image of a touched simplex -> the first simplex landing on it
+    for s in sorted(touched, key=_sort_key):
         img = tuple(sorted({rep.get(v, v) for v in s}))
         if len(img) != len(s):
             raise QuotientDegeneracyError(
                 f"simplex {s} degenerates to {img} in the quotient", witness=s)
         first = images.setdefault(img, s)
-        if first != s and related.find(first) != related.find(s):
+        if first != s and cells.find(first) != cells.find(s):
             raise QuotientDegeneracyError(
                 f"distinct simplices {first} and {s} collide on {img} "
                 f"without being identified", witness=(first, s))
-    return images
+    out.update(tuple(rep_to_new[r] for r in img) for img in images)
+    return QuotientResult(Complex(frozenset(out), name=c.name), vertex_map)
 
 
-def disjoint_union(a: Complex, b: Complex) -> tuple[Complex, dict]:
-    """Disjoint union, relabelling b's vertices above a's range.
-
-    Returns the union and the map from b's old vertex ids to new ones.
-    """
-    offset = max(a.vertices, default=-1) + 1
-    shift = {v: v + offset for v in b.vertices}
-    if max(shift.values(), default=0) >= 2**63:
-        raise PfcError(f"shifted vertex id {max(shift.values())} is not below 2**63")
-    moved = {tuple(v + offset for v in s) for s in b.simplices}
-    return Complex(frozenset(set(a.simplices) | moved)), shift
+def disjoint_union(first: Complex, *rest: Complex) -> tuple[Complex, list]:
+    """Disjoint union, each part in rest relabelled above every id before
+    it; returns the union and one old-to-new vertex map per part in rest."""
+    out = set(first.simplices)
+    top = max(first.vertices, default=-1)
+    shifts = []
+    for part in rest:
+        offset = top + 1
+        shift = {v: v + offset for v in part.vertices}
+        top = max(shift.values(), default=top)
+        if top >= 2**63:
+            raise PfcError(f"shifted vertex id {top} is not below 2**63")
+        out.update(tuple(v + offset for v in s) for s in part.simplices)
+        shifts.append(shift)
+    return Complex(frozenset(out)), shifts

@@ -102,8 +102,7 @@ def _morse_core(c: Complex, excluded) -> list[dict]:
     queue = deque(np.flatnonzero(~dropped & (n_work == 1)).tolist())
     # 0 working, 1 critical, 2 paired or excluded
     state, n_work = bytearray(dropped.astype(np.uint8) * 2), n_work.tolist()
-    faces = [row for f in idx.faces for row in f.tolist()]
-    ptr, cob = (a.tolist() for a in idx.cofaces())
+    faces, ptr, cob = idx.incidence_lists()
     crit = {}  # cell id -> critical part of its boundary
 
     def retire(s, fill):

@@ -540,13 +540,15 @@ def gauss_bonnet_check(mc: MetricComplex) -> CheckReport:
 # metric-aware assembly helpers
 
 
-def metric_disjoint_union(a: MetricComplex, b: MetricComplex):
-    """Disjoint union of metric complexes; returns (union, b-vertex shift)."""
-    c, shift = disjoint_union(a.complex, b.complex)
-    lengths = dict(a.lengths)
-    for (u, v), l in b.lengths.items():
-        lengths[edge_key(shift[u], shift[v])] = l
-    return MetricComplex(c, lengths), shift
+def metric_disjoint_union(first: MetricComplex, *rest: MetricComplex):
+    """Disjoint union of metric complexes; returns (union, one vertex shift
+    per part in rest), as disjoint_union does."""
+    c, shifts = disjoint_union(first.complex, *(p.complex for p in rest))
+    lengths = dict(first.lengths)
+    for part, shift in zip(rest, shifts):
+        for (u, v), l in part.lengths.items():
+            lengths[edge_key(shift[u], shift[v])] = l
+    return MetricComplex(c, lengths), shifts
 
 
 def metric_quotient(mc: MetricComplex, pairs):

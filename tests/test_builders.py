@@ -5,6 +5,7 @@ import io
 import json
 import math
 import random
+import re
 from itertools import permutations
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 
 from pfcomplex import (
     PfcError,
+    QuotientDegeneracyError,
     betti,
     box_complex,
     build_complex,
@@ -34,12 +36,13 @@ from pfcomplex import (
     house_with_two_rooms,
     local_homology,
     midpoint_subdivision,
+    quotient,
     simplex_complex,
     validate_metric,
     vertex_link_graph,
 )
 from pfcomplex import builders, pfcio
-from pfcomplex.builders import _isometric_map, _pair_admissible, _simplex_pair
+from pfcomplex.builders import _isometric_map, _simplex_pair
 from pfcomplex.cli import run_command
 from pfcomplex.metric import angle_sum_at_vertex
 
@@ -113,6 +116,13 @@ def test_torus2_is_flat_torus():
 def test_glue_no_interfaces_is_identity():
     base = simplex_complex(3)
     assert glue_double_tori(base, []) is base
+
+
+@pytest.mark.parametrize("marked", [(0, 1), (0, 1, 2, 3)])
+def test_glue_rejects_a_marked_simplex_that_is_not_a_triangle(marked):
+    with pytest.raises(PfcError, match=re.escape(
+            f"marked simplex {marked} is not a triangle")):
+        glue_double_tori(simplex_complex(3), [marked])
 
 
 def test_double_torus_block_euler():
@@ -253,9 +263,9 @@ def test_gcify_idempotent():
     assert again.complex is out
 
 
-# The candidate search that the 1-skeleton distance rule replaced, kept
-# verbatim as a reference: it enumerates every permutation of every partner
-# and lets the quotient check reject them.
+# The candidate search that the 1-skeleton distance rule replaced, kept as a
+# reference: it enumerates every permutation of every partner and lets a
+# whole-complex quotient reject them.
 
 def identification_batch_oracle(mc, frees):
     """A maximal set of independent isometric identifications of free faces.
@@ -264,9 +274,9 @@ def identification_batch_oracle(mc, frees):
     onto any disjoint isometric simplex elsewhere in the complex, whose
     cofaces it then shares.  Least-entangled free faces go first; partners
     disjoint from the face's whole closed neighborhood are preferred; each
-    candidate passes a local degeneracy check (the quotient validator
-    restricted to the affected stars), and accepted identifications claim
-    their affected vertices so the batch members cannot interact.
+    candidate must be accepted by the quotient of the whole complex, and
+    accepted identifications claim their affected vertices so the batch
+    members cannot interact.
     """
     nbrs = {v: {x for e in st if len(e) == 2 for x in e if x != v}
             for v, st in mc.complex.vertex_star.items()}
@@ -311,7 +321,9 @@ def identification_batch_oracle(mc, frees):
                     continue
                 if not _isometric_map(mc, fa, perm):
                     continue
-                if not _pair_admissible(mc.complex, fa, perm):
+                try:
+                    quotient(mc.complex, [_simplex_pair(fa, perm)])
+                except QuotientDegeneracyError:
                     continue
                 found = perm
                 break
@@ -356,6 +368,13 @@ def test_build_gcify_bytes_are_pinned(name, digest, tmp_path):
     assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == digest
 
 
+def glued_torus2():
+    """flat_torus2(3) with double-torus blocks on three of its triangles."""
+    base = flat_torus2(3)
+    t = base.complex.k_simplices(2)
+    return glue_double_tori(base, [t[0], t[5], t[11]])
+
+
 def library_digest(mc):
     """sha256 of the simplices and lengths with plain int vertex ids, so the
     digest reads the same whatever integer type the ids have."""
@@ -378,11 +397,14 @@ def library_digest(mc):
      "96a7fae6151228c9f75f75c3cc1641c1a323d6060e8ad5e8301f6f7b02300374"),
     (lambda: midpoint_subdivision(simplex_complex(3)),
      "da8df5c2558c63d0476f7a87a8f66bf6a4f919c1bcc3bb7ff8e25d2032975dd0"),
+    (glued_torus2,
+     "177d6f7a10188585dc38133db788c642b5f92b1a8da3e9e6d0cf297ed9773c33"),
 ], ids=["torus2", "torus3", "box432", "subdivided-box211",
-        "subdivided-simplex3"])
+        "subdivided-simplex3", "glued-torus2"])
 def test_library_builders_are_pinned(build, digest):
     """Builders without a `pfc build` target keep their simplices and
-    lengths, as captured before the builders shared one Freudenthal grid."""
+    lengths, as captured before the builders shared one Freudenthal grid
+    and before the gluing went through one n-ary disjoint union."""
     assert library_digest(build()) == digest
 
 
@@ -466,3 +488,6 @@ def test_example2_certificates():
     # a vertex deep inside some torus copy has a 2-sphere link
     v = max(x.complex.vertices)
     assert local_homology(x.complex, v, "z").ranks == (0, 0, 1)
+    # simplices and lengths as built before the gluing used one n-ary union
+    assert library_digest(x) == \
+        "e3d8acda23fc5010493abf3a12c14988e35675c9609e9fb8d8469dac3b201d49"

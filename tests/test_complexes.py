@@ -17,7 +17,7 @@ from pfcomplex import (
     quotient,
     star,
 )
-from pfcomplex.builders import _far_pairs, _pair_admissible, _simplex_pair, box_complex
+from pfcomplex.builders import _far_pairs, _simplex_pair, box_complex
 from pfcomplex.complexes import canonical_simplex, faces_of
 
 
@@ -200,9 +200,12 @@ def test_quotients_and_unions_leave_the_cell_index_unbuilt():
                            (4, 5, 6), (5, 6, 7)])
     quotient(strip, [([(0,), (1,), (0, 1)], [(6,), (7,), (6, 7)], {0: 6, 1: 7})])
     a, b = build_complex([(0, 1, 2)]), build_complex([(0, 1), (1, 2)])
-    disjoint_union(a, b)
-    for c in (strip, a, b):
-        assert "index" not in vars(c)
+    c = build_complex([(0, 1, 2, 3)])
+    union, shifts = disjoint_union(a, b, c)
+    for part in (strip, a, b, c, union):
+        assert "index" not in vars(part)
+    assert shifts == [{0: 3, 1: 4, 2: 5}, {0: 6, 1: 7, 2: 8, 3: 9}]
+    assert union.counts() == [10, 11, 5, 1]
 
 
 def test_disjoint_union_keeps_vertex_ids_below_2_63():
@@ -213,6 +216,13 @@ def test_disjoint_union_keeps_vertex_ids_below_2_63():
         disjoint_union(top, build_complex([(0, 1)]))
     union, _ = disjoint_union(build_complex([(2**63 - 3,)]), build_complex([(0, 1)]))
     assert union.counts() == [3, 1]
+    # three parts: only the last one leaves the range
+    first, second = build_complex([(2**63 - 6,)]), build_complex([(0, 1)])
+    union, _ = disjoint_union(first, second, build_complex([(0, 1, 2)]))
+    assert max(union.vertices) == 2**63 - 1
+    with pytest.raises(PfcError, match=r"shifted vertex id 9223372036854775808 "
+                                       r"is not below 2\*\*63"):
+        disjoint_union(first, second, build_complex([(0, 1, 2, 3)]))
 
 
 def test_quotient_rejects_degenerate_map():
@@ -316,29 +326,10 @@ def test_quotient_matches_global_validator():
     assert verdicts == {True, False}
 
 
-def test_gcify_candidate_check_matches_quotient():
-    rng = random.Random(29)
-    verdicts = set()
-    for _ in range(300):
-        c = random_complex(rng, n_vertices=10, n_generators=6)
-        fa = rng.choice(sorted(c.simplices))
-        partners = [s for s in c.k_simplices(len(fa) - 1) if not set(s) & set(fa)]
-        if not partners:
-            continue
-        perm = tuple(rng.sample(rng.choice(partners), len(fa)))
-        try:
-            quotient(c, [_simplex_pair(fa, perm)])
-            accepted = True
-        except QuotientDegeneracyError:
-            accepted = False
-        assert _pair_admissible(c, fa, perm) == accepted
-        verdicts.add(accepted)
-    assert verdicts == {True, False}
-
-
 def test_gcify_distance_rule_rejects_only_inadmissible_pairs():
     # gcify skips a partner meeting the closed neighbourhood of the free face
-    # and every matching that merges two vertices with a common neighbour
+    # and every matching that merges two vertices with a common neighbour,
+    # and accepts every other matching without a further check
     rng = random.Random(43)
     verdicts = set()
     tested = 0
@@ -360,6 +351,6 @@ def test_gcify_distance_rule_rejects_only_inadmissible_pairs():
         for perm in permutations(fb):
             ruled_out = not closed.isdisjoint(fb) or not far.issuperset(zip(fa, perm))
             admissible = brute_quotient(c, [_simplex_pair(fa, perm)]) is not None
-            assert not (ruled_out and admissible), (sorted(c.simplices), fa, perm)
+            assert ruled_out != admissible, (sorted(c.simplices), fa, perm)
             verdicts.add((ruled_out, admissible))
-    assert verdicts >= {(True, False), (False, True)}
+    assert verdicts == {(True, False), (False, True)}

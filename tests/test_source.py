@@ -1,0 +1,54 @@
+"""Source hygiene of src/pfcomplex, read with the standard library's ast."""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "pfcomplex"
+
+
+def parsed_modules() -> dict:
+    return {p.name: ast.parse(p.read_text(encoding="utf-8"))
+            for p in sorted(SRC.glob("*.py"))}
+
+
+def references(tree) -> Counter:
+    """How often the module refers to each name, as a bare name, an
+    attribute or an imported name."""
+    names = Counter()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name):
+            names[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            names[n.attr] += 1
+        elif isinstance(n, ast.ImportFrom):
+            names.update(a.name for a in n.names)
+    return names
+
+
+def test_no_unused_imports():
+    unused = []
+    for name, tree in parsed_modules().items():
+        if name == "__init__.py":  # its imports are the package's names
+            continue
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unused += [f"{name}: {a.name}" for a in node.names
+                           if (a.asname or a.name).split(".")[0] not in read]
+    assert unused == []
+
+
+def test_no_orphaned_private_definitions():
+    """Every module-level private function or class is referred to somewhere
+    in the package outside its own body."""
+    modules = parsed_modules()
+    total = sum(map(references, modules.values()), Counter())
+    orphans = [f"{name}: {node.name}"
+               for name, tree in modules.items() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name.startswith("_") and not node.name.startswith("__")
+               and total[node.name] == references(node)[node.name]]
+    assert orphans == []
