@@ -172,8 +172,9 @@ class Complex:
         """The cell numbering incidence queries read; built on first use."""
         return _index_cells(self.simplices)
 
-    @property
+    @cached_property
     def vertices(self) -> list[int]:
+        """Vertex ids in ascending order.  Cached; callers never mutate it."""
         return sorted(s[0] for s in self.simplices if len(s) == 1)
 
     def k_simplices(self, k: int) -> list[Simplex]:
@@ -203,6 +204,14 @@ class Complex:
                 out.setdefault(v, []).append(s)
         return {v: tuple(st) for v, st in out.items()}
 
+    def open_star(self, s) -> list[Simplex]:
+        """The simplices containing s, s first, in (length, lex) order, read
+        from its smallest vertex star; PfcError if s is not a simplex."""
+        s = canonical_simplex(s)
+        if s not in self.simplices:
+            raise PfcError(f"{s} is not a simplex of the complex")
+        return list(filter(set(s).issubset, min(map(self.vertex_star.get, s), key=len)))
+
     def subcomplex(self, simplices: Iterable[Simplex], name=None) -> "Complex":
         """Face closure of a subset of this complex's simplices."""
         chosen = [canonical_simplex(s) for s in simplices]
@@ -225,26 +234,13 @@ def build_complex(generators: Iterable[Sequence[int]], name: str | None = None) 
 
 def star(c: Complex, s) -> Complex:
     """Closed star: all cofaces of s together with their faces."""
-    s = canonical_simplex(s)
-    if s not in c.simplices:
-        raise PfcError(f"{s} is not a simplex of the complex")
-    return build_complex(_cofaces(c, s))
+    return build_complex(c.open_star(s))
 
 
 def link(c: Complex, s) -> Complex:
     """The link of s: simplices disjoint from s whose join with s is present."""
-    s = canonical_simplex(s)
-    if s not in c.simplices:
-        raise PfcError(f"{s} is not a simplex of the complex")
-    sset = set(s)
-    return Complex(frozenset(tuple(x for x in t if x not in sset)
-                             for t in _cofaces(c, s) if len(t) > len(s)))
-
-
-def _cofaces(c: Complex, s: Simplex) -> list[Simplex]:
-    """All simplices of c containing the simplex s, s itself included."""
-    sset = set(s)
-    return [t for t in c.vertex_star[s[0]] if sset.issubset(t)]
+    s, *cofaces = c.open_star(s)
+    return Complex(frozenset(tuple(x for x in t if x not in s) for t in cofaces))
 
 
 class FreeFacePair(NamedTuple):

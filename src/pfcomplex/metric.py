@@ -195,11 +195,8 @@ def validate_metric(mc: MetricComplex) -> None:
 def angle_sum_at_vertex(mc: MetricComplex, v: int) -> float:
     """Total corner angle over all triangles containing the vertex."""
     total = 0.0
-    for t in mc.complex.vertex_star.get(v, ()):
-        if len(t) == 3:
-            a, b = [x for x in t if x != v]
-            total += corner_angle(mc.length(v, a), mc.length(v, b),
-                                  mc.length(a, b))
+    for arc in _link_walk(mc, (v,))[1]:
+        total += arc.weight
     return total
 
 
@@ -237,57 +234,52 @@ class MetricGraph:
         return sum(a.weight for a in self.arcs)
 
 
+def _link_walk(mc: MetricComplex, s):
+    """Nodes, arcs and higher cofaces of the link of a vertex or an edge s,
+    in one pass over its open star: nodes are labelled by their vertex outside
+    s, arcs weighted by their angle at s (corner or dihedral angle)."""
+    s, *cofaces = mc.complex.open_star(s)
+    nodes, arcs, higher = [], [], []
+    for t in cofaces:
+        rest = [x for x in t if x not in s]
+        if len(rest) == 1:
+            nodes.append(rest[0])
+        elif len(rest) > 2:
+            higher.append(t)
+        else:
+            (a, b), v = rest, s[0]
+            angle = (dihedral_angle(mc, t, s) if len(s) == 2 else corner_angle(
+                mc.length(v, a), mc.length(v, b), mc.length(a, b)))
+            arcs.append(Arc(a, b, angle, tag=t))
+    return nodes, arcs, higher
+
+
+def _link_graph(mc: MetricComplex, s) -> MetricGraph:
+    nodes, arcs, higher = _link_walk(mc, s)
+    if higher:
+        kind, at = ("vertex", s[0]) if len(s) == 1 else ("edge", s)
+        raise PfcError(f"{kind} {at} lies in {higher[0]}; {kind} links are only "
+                       f"built where the star is {len(s) + 1}-dimensional")
+    return MetricGraph(tuple(nodes), tuple(arcs))
+
+
 def vertex_link_graph(mc: MetricComplex, v: int) -> MetricGraph:
     """The metric link of a vertex in a locally 2-dimensional complex.
 
     Nodes are the edges at v (labelled by their opposite vertex); each
     triangle at v contributes an arc weighted by its corner angle there.
     """
-    c = mc.complex
-    if (v,) not in c.simplices:
-        raise PfcError(f"vertex {v} not in complex")
-    nodes = []
-    arcs = []
-    for s in c.vertex_star[v]:
-        if len(s) == 2:
-            nodes.append(s[0] if s[1] == v else s[1])
-        elif len(s) == 3:
-            a, b = [x for x in s if x != v]
-            ang = corner_angle(mc.length(v, a), mc.length(v, b),
-                               mc.length(a, b))
-            arcs.append(Arc(a, b, ang, tag=s))
-        elif len(s) >= 4:
-            raise PfcError(
-                f"vertex {v} lies in {s}; vertex links are only built where "
-                f"the star is 2-dimensional")
-    return MetricGraph(tuple(nodes), tuple(arcs))
+    return _link_graph(mc, (v,))
 
 
 def edge_link_graph(mc: MetricComplex, e) -> MetricGraph:
-    """The metric link of an edge in a complex of dimension at most 3.
+    """The metric link of an edge in a locally 3-dimensional complex.
 
     Nodes are the triangles containing the edge (labelled by their third
     vertex); each tetrahedron around the edge contributes an arc weighted by
     its dihedral angle there.
     """
-    e = canonical_simplex(e)
-    c = mc.complex
-    if e not in c.simplices:
-        raise PfcError(f"edge {e} not in complex")
-    eset = set(e)
-    nodes = []
-    arcs = []
-    # both stars hold their cells in the complex's (len, lex) order, so the
-    # cells with both endpoints come out of the smaller one in the same order
-    for s in min(c.vertex_star[e[0]], c.vertex_star[e[1]], key=len):
-        if not eset.issubset(s):
-            continue
-        if len(s) == 3:
-            nodes.append(next(x for x in s if x not in eset))
-        elif len(s) == 4:
-            cc, dd = [x for x in s if x not in eset]
-            arcs.append(Arc(cc, dd, dihedral_angle(mc, s, e), tag=s))
-    return MetricGraph(tuple(nodes), tuple(arcs))
+    return _link_graph(mc, edge_key(*e))
 
 
 # ---------------------------------------------------------------------------
@@ -434,8 +426,7 @@ def cat0_two_complex_check(mc: MetricComplex) -> CheckReport:
     items = []
     ok = True
     for v in mc.complex.vertices:
-        g = vertex_link_graph(mc, v)
-        length, cycle = shortest_cycle(g)
+        length, cycle = shortest_cycle(vertex_link_graph(mc, v))
         bad = length < TWO_PI - EPS_ANG
         ok = ok and not bad
         items.append(CheckItem(f"vertex {v}", length, TWO_PI,

@@ -203,6 +203,7 @@ def test_quotients_and_unions_leave_the_cell_index_unbuilt():
     c = build_complex([(0, 1, 2, 3)])
     union, shifts = disjoint_union(a, b, c)
     for part in (strip, a, b, c, union):
+        assert part.vertices is part.vertices  # cached, without the index
         assert "index" not in vars(part)
     assert shifts == [{0: 3, 1: 4, 2: 5}, {0: 6, 1: 7, 2: 8, 3: 9}]
     assert union.counts() == [10, 11, 5, 1]

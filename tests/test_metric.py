@@ -483,10 +483,15 @@ def test_vertex_link_hexagon_fan():
 
 
 def test_vertex_link_rejects_3_dimensional_star():
-    mc = simplex_complex(3)
-    with pytest.raises(PfcError, match=r"vertex 0 lies in \(0, 1, 2, 3\); "
-                                       r"vertex links are only built"):
-        vertex_link_graph(mc, 0)
+    # and an edge link one dimension up: a 4-simplex is not left out silently
+    for link_graph, n, at, message in [
+            (vertex_link_graph, 3, 0, r"vertex 0 lies in \(0, 1, 2, 3\); "
+                                      r"vertex links are only built"),
+            (edge_link_graph, 4, (0, 1),
+             r"edge \(0, 1\) lies in \(0, 1, 2, 3, 4\); edge links are only "
+             r"built where the star is 3-dimensional")]:
+        with pytest.raises(PfcError, match=message):
+            link_graph(simplex_complex(n), at)
 
 
 def test_edge_link_of_torus_edge():
@@ -831,6 +836,10 @@ def test_gauss_bonnet_tetra_boundary():
     lhs, rhs = gauss_bonnet(mc)
     assert lhs == pytest.approx(4 * math.pi)
     assert rhs == pytest.approx(4 * math.pi)
+    assert angle_sum_at_vertex(mc, 0) == pytest.approx(math.pi)
+    # a vertex outside the complex is an error, not an empty angle sum
+    with pytest.raises(PfcError, match=r"\(7,\) is not a simplex of the complex"):
+        angle_sum_at_vertex(simplex_complex(2), 7)
 
 
 def test_gauss_bonnet_rejects_non_surface():

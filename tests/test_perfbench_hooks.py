@@ -9,7 +9,7 @@ if str(ROOT) not in sys.path:
     sys.path.insert(0, str(ROOT))
 
 import pfcomplex  # noqa: E402
-from pfcomplex import free_group_complex, metric, parse  # noqa: E402
+from pfcomplex import free_group_complex, genus_surface, metric, parse  # noqa: E402
 from perfbench.tracer import HOOKS, MODULES, Tracer  # noqa: E402
 
 HOLDERS = [pfcomplex, *MODULES.values()]
@@ -43,16 +43,22 @@ def test_link_counters_and_eccentricity_spans_under_the_memos():
     """One link is built per edge or vertex, as without the memos, so the
     benchmark's links_built and link_arcs counters keep their meaning; at
     identity labels freegroup8's 371 links have 42 order types, so 42
-    min_eccentricity calls reach the traced function."""
+    min_eccentricity calls reach the traced function.  Gauss-Bonnet angle
+    sums walk the same links without the traced link builders, so they add
+    no link to the counters."""
     example1 = parse((ROOT / "fixtures" / "example1.pfc").read_text(
         encoding="utf-8"))
     freegroup8 = free_group_complex(8)
+    surface = genus_surface(4, identify_segments=False)
     tracer = Tracer()
     tracer.install()
     try:
         metric.npc_edge_link_check(example1)
         edge_links = tracer.counts["metric.links_built"]
         metric.extendability_check(freegroup8)
+        links = tracer.counts["metric.links_built"]
+        assert metric.gauss_bonnet_check(surface).verdict == "pass"
+        assert tracer.counts["metric.links_built"] == links
     finally:
         tracer.uninstall()
     assert edge_links == len(example1.complex.k_simplices(1)) == 1122
