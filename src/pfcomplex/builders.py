@@ -133,6 +133,8 @@ def flat_torus2(m: int = 3, shape=None) -> MetricComplex:
 
 def box_complex(nx: int, ny: int, nz: int) -> MetricComplex:
     """Freudenthal-triangulated solid box [0,nx] x [0,ny] x [0,nz]."""
+    if min(nx, ny, nz) < 1:
+        raise PfcError(f"box sizes must be >= 1, got nx={nx}, ny={ny}, nz={nz}")
 
     def vid(i, j, k):
         # numpy ids, whose repr perfbench's box digests hash (ROADMAP item 2)

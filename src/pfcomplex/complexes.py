@@ -16,7 +16,7 @@ import heapq
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, combinations, compress
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -64,10 +64,6 @@ def faces_of(simplex: Simplex) -> list[Simplex]:
     return out
 
 
-def _sort_key(s: Simplex):
-    return (len(s), s)
-
-
 class CellIndex(NamedTuple):
     """Integer ids for the cells of a complex, in (length, lex) order.
 
@@ -100,6 +96,15 @@ class CellIndex(NamedTuple):
         return [row for f in self.faces for row in f.tolist()], ptr.tolist(), cob.tolist()
 
 
+def _rows(simplices) -> dict:
+    """Simplices by length n, ascending: n -> (tuples, (count, n) int64 rows)."""
+    by_len = {}
+    for s in simplices:
+        by_len.setdefault(len(s), []).append(s)
+    return {n: (g, np.fromiter(chain.from_iterable(g), np.int64, n * len(g)).reshape(-1, n))
+            for n, g in sorted(by_len.items())}
+
+
 def _index_cells(simplices) -> CellIndex:
     """The (length, lex) numbering of a face-closed set of simplices.
 
@@ -107,19 +112,15 @@ def _index_cells(simplices) -> CellIndex:
     of its first vertex, id of the face dropping it), so every order and
     face id comes from numpy sorts and searches over integer keys.
     """
-    by_len = {}
-    for s in simplices:
-        by_len.setdefault(len(s), []).append(s)
-    points = by_len.get(1, [])
-    vid = np.fromiter(chain.from_iterable(points), np.int64, len(points))
-    order = np.argsort(vid)
-    cells, verts = [points[i] for i in order.tolist()], vid[order]
+    rows = _rows(simplices)
+    points, vid = rows.get(1, ([], np.zeros((0, 1), np.int64)))
+    order = np.argsort(vid[:, 0])
+    cells, verts = [points[i] for i in order.tolist()], vid[order, 0]
     keys = [np.arange(len(verts))]  # sorted lexicographic keys per dimension
     faces, offsets = [np.zeros((len(verts), 0), dtype=np.int64)], [0, len(verts)]
-    for k in range(1, max(by_len, default=1)):
-        group = by_len[k + 1]
-        ranks = np.searchsorted(verts, np.fromiter(
-            chain.from_iterable(group), np.int64, len(group) * (k + 1))).reshape(-1, k + 1)
+    for k in range(1, max(rows, default=1)):
+        group, ranks = rows[k + 1]
+        ranks = np.searchsorted(verts, ranks)
         lex = ranks[:, 0] * len(keys[k - 1]) + _row_ids(keys, ranks[:, 1:])
         order = np.argsort(lex)
         ranks = ranks[order]
@@ -324,31 +325,29 @@ class QuotientResult(NamedTuple):
     vertex_map: dict  # old vertex id -> new (dense) vertex id
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent = {}
+class _UnionFind(dict):
+    """Parent links of disjoint classes; each class is represented by its
+    smallest member, so ambient vertex ids stay stable."""
 
     def find(self, x):
-        p = self.parent
-        root = p.setdefault(x, x)
-        while p[root] != root:
-            root = p[root]
-        while p[x] != root:
-            p[x], x = root, p[x]
+        root = self.setdefault(x, x)
+        while self[root] != root:
+            root = self[root]
+        while self[x] != root:
+            self[x], x = root, self[x]
         return root
 
     def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        # keep the smaller representative so ambient vertex ids stay stable
-        if rb < ra:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
+        ra, rb = sorted((self.find(a), self.find(b)))
+        self[rb] = ra
 
 
-def _normalize_pair(c: Complex, pair) -> tuple:
+def _normalize_pair(c: Complex, i: int, pair) -> tuple:
+    if not isinstance(pair, Sequence) or len(pair) != 3:
+        raise PfcError(f"identification {i} is not a (source, target, map) triple")
     source, target, vmap = pair
+    if not isinstance(vmap, Mapping):
+        raise PfcError(f"identification {i}: vertex map {vmap!r} is not a mapping")
     src = [canonical_simplex(s) for s in source]
     dst = [canonical_simplex(s) for s in target]
     for s in src + dst:
@@ -367,27 +366,20 @@ def quotient(c: Complex, pairs: Sequence) -> QuotientResult:
     an endpoint merge in the same call.  After merging vertex classes the
     result is checked to still be simplicial: no simplex may degenerate, and
     two distinct simplices may land on the same vertex set only if the
-    declared identifications actually relate them.  Only simplices meeting a
-    merged vertex are checked: every other simplex keeps its own vertex set,
-    and the image of a checked simplex contains a merged class, so neither
-    can degenerate or collide with an unchecked one.  The first failure in
-    (length, lexicographic) order is raised.  Vertex ids of the result are
-    renumbered densely; the old-to-new map is returned alongside.
+    declared identifications actually relate them.  Every simplex is
+    relabelled and checked as an int64 row; the first failure in (length,
+    lexicographic) order is raised.  Vertex ids of the result are renumbered
+    densely; the old-to-new map is returned alongside.
     """
-    pairs = [_normalize_pair(c, p) for p in pairs]
-    vertices = c.vertices
-    verts = _UnionFind()
-    cells = _UnionFind()
-
+    pairs = [_normalize_pair(c, i, p) for i, p in enumerate(pairs)]
+    verts, cells = _UnionFind(), _UnionFind()
     for src, dst, vmap in pairs:
-        dst_set = set(dst)
-        covered = set()
+        dst_set, covered = set(dst), set()
         for s in src:
             try:
-                img_vs = [vmap[v] for v in s]
+                img = tuple(sorted(vmap[v] for v in s))
             except KeyError as e:
                 raise PfcError(f"vertex {e.args[0]} of {s} has no image") from None
-            img = tuple(sorted(img_vs))
             if len(set(img)) != len(img):
                 raise PfcError(f"{s} degenerates to {img} under the pair map")
             if img not in dst_set:
@@ -395,54 +387,58 @@ def quotient(c: Complex, pairs: Sequence) -> QuotientResult:
             covered.add(img)
             cells.union(s, img)
         if covered != dst_set:
-            missing = sorted(dst_set - covered, key=_sort_key)
+            missing = sorted(dst_set - covered, key=lambda s: (len(s), s))
             raise PfcError(f"target simplices not covered by the map: {missing[:3]}")
         for v, w in vmap.items():
             verts.union(v, w)
 
-    # each merged vertex, representatives included, to its representative;
-    # the dense renumbering of the representatives preserves order, so
-    # relabelled vertex tuples stay sorted
-    rep = {v: r for v in vertices if (r := verts.find(v)) != v}
-    rep.update((r, r) for r in set(rep.values()))
-    reps = sorted({rep.get(v, v) for v in vertices})
-    rep_to_new = {r: i for i, r in enumerate(reps)}
-    vertex_map = {v: rep_to_new[rep.get(v, v)] for v in vertices}
-
-    out = set()
-    touched = []
-    for s in c.simplices:
-        if rep.keys().isdisjoint(s):
-            out.add(tuple(vertex_map[v] for v in s))
-        else:
-            touched.append(s)
-    images = {}  # image of a touched simplex -> the first simplex landing on it
-    for s in sorted(touched, key=_sort_key):
-        img = tuple(sorted({rep.get(v, v) for v in s}))
-        if len(img) != len(s):
-            raise QuotientDegeneracyError(
-                f"simplex {s} degenerates to {img} in the quotient", witness=s)
-        first = images.setdefault(img, s)
-        if first != s and cells.find(first) != cells.find(s):
-            raise QuotientDegeneracyError(
-                f"distinct simplices {first} and {s} collide on {img} "
-                f"without being identified", witness=(first, s))
-    out.update(tuple(rep_to_new[r] for r in img) for img in images)
-    return QuotientResult(Complex(frozenset(out), name=c.name), vertex_map)
+    rows = _rows(c.simplices)
+    old = np.sort(rows.get(1, ([], np.zeros((0, 1), np.int64)))[1][:, 0])
+    roots = {v: verts.find(v) for v in list(verts)}
+    rep = np.fromiter(map(roots.get, old.tolist(), old.tolist()), np.int64, len(old))
+    reps, new = np.unique(rep, return_inverse=True)  # dense ids in the classes' order
+    out = []
+    for simplices, r in rows.values():
+        img = np.sort(new[np.searchsorted(old, r)], axis=1)
+        order = np.lexsort(img.T[::-1])
+        img = img[order]
+        first = np.concatenate(([True], (img[1:] != img[:-1]).any(axis=1)))
+        # a row can fail only if it degenerates or shares its image with another
+        suspect = ((img[:, 1:] == img[:, :-1]).any(axis=1) | ~first
+                   | ~np.concatenate((first[1:], [True])))
+        images = {}  # image of a suspect -> the first suspect landing on it
+        for s in sorted(simplices[i] for i in order[suspect].tolist()):
+            image = tuple(sorted({roots.get(v, v) for v in s}))
+            if len(image) != len(s):
+                raise QuotientDegeneracyError(
+                    f"simplex {s} degenerates to {image} in the quotient", witness=s)
+            prior = images.setdefault(image, s)
+            if prior != s and cells.find(prior) != cells.find(s):
+                raise QuotientDegeneracyError(
+                    f"distinct simplices {prior} and {s} collide on {image} "
+                    f"without being identified", witness=(prior, s))
+        out.append(img[first])
+    ids = np.arange(len(reps)).astype(object)  # one int object per id, shared by all tuples
+    glued = frozenset(chain.from_iterable(zip(*ids[a].T.tolist()) for a in out))
+    return QuotientResult(Complex(glued, name=c.name),
+                          dict(zip(old.tolist(), ids[new].tolist())))
 
 
 def disjoint_union(first: Complex, *rest: Complex) -> tuple[Complex, list]:
     """Disjoint union, each part in rest relabelled above every id before
     it; returns the union and one old-to-new vertex map per part in rest."""
-    out = set(first.simplices)
-    top = max(first.vertices, default=-1)
+    at = {}  # per distinct part, its rows as positions among its sorted vertices
+    out = [first.simplices]
+    top = int(max(first.vertices, default=-1))  # box ids are numpy ints
     shifts = []
     for part in rest:
-        offset = top + 1
-        shift = {v: v + offset for v in part.vertices}
+        shift = {v: v + top + 1 for v in part.vertices}
         top = max(shift.values(), default=top)
         if top >= 2**63:
             raise PfcError(f"shifted vertex id {top} is not below 2**63")
-        out.update(tuple(v + offset for v in s) for s in part.simplices)
+        at[id(part)] = at.get(id(part)) or [np.searchsorted(part.vertices, r)
+                                            for _, r in _rows(part.simplices).values()]
+        ids = np.array(list(shift.values()), dtype=object)  # shared by all its tuples
+        out += [zip(*ids[a].T.tolist()) for a in at[id(part)]]
         shifts.append(shift)
-    return Complex(frozenset(out)), shifts
+    return Complex(frozenset(chain.from_iterable(out))), shifts

@@ -279,6 +279,8 @@ def edge_link_graph(mc: MetricComplex, e) -> MetricGraph:
     vertex); each tetrahedron around the edge contributes an arc weighted by
     its dihedral angle there.
     """
+    if len(e) != 2:
+        raise PfcError(f"{tuple(e)} is not an edge")
     return _link_graph(mc, edge_key(*e))
 
 

@@ -209,6 +209,14 @@ def test_free_group_complex_certificates(n):
     assert euler_characteristic(fc.complex) == 1 - n
 
 
+@pytest.mark.parametrize("sizes", [(0, 1, 1), (-1, 1, 1), (2, 0, 1), (2, 1, -3)],
+                         ids=["nx0", "nx-1", "ny0", "nz-3"])
+def test_box_complex_rejects_sizes_below_1(sizes):
+    message = "box sizes must be >= 1, got nx={}, ny={}, nz={}".format(*sizes)
+    with pytest.raises(PfcError, match=f"^{re.escape(message)}$"):
+        box_complex(*sizes)
+
+
 def test_free_group_complex_rejects_small_rank():
     with pytest.raises(PfcError, match="free group rank must be >= 2, got 1"):
         free_group_complex(1)

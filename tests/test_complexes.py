@@ -248,6 +248,16 @@ def test_quotient_validates_target_membership():
     with pytest.raises(PfcError,
                        match=r"identification references \(9,\), not in"):
         quotient(c, [([(0,)], [(9,)], {0: 9})])
+    # a malformed pair is named by its position, not left to unpacking
+    ok = ([(0,)], [(0,)], {0: 0})
+    with pytest.raises(PfcError, match=r"identification 1 is not a "
+                                       r"\(source, target, map\) triple"):
+        quotient(c, [ok, ((0,),)])
+    with pytest.raises(PfcError, match=r"identification 0 is not a "):
+        quotient(c, [None])
+    with pytest.raises(PfcError, match=r"identification 0: vertex map "
+                                       r"\[\(0, 0\)\] is not a mapping"):
+        quotient(c, [([(0,)], [(0,)], [(0, 0)])])
 
 
 def test_facets():
@@ -271,9 +281,10 @@ def test_quotient_rejects_undeclared_collision():
 def brute_quotient(c, pairs):
     """Global reference validator: image every simplex of c.
 
-    Returns (simplices, vertex_map) of the quotient, or None when some
-    simplex degenerates or two simplices share an image without a declared
-    identification relating them.
+    Returns ((simplices, vertex_map), None) for a valid quotient, or
+    (None, (witness, message)) for the first simplex in (length, lex) order
+    that degenerates or shares an image with an earlier simplex that no
+    declared identification relates to it.
     """
     label = {v: v for v in c.vertices}
     group = {s: s for s in c.simplices}
@@ -290,15 +301,17 @@ def brute_quotient(c, pairs):
         for v, w in vmap.items():
             merge(label, v, w)
     owner = {}
-    for s in c.simplices:
+    for s in sorted(c.simplices, key=lambda s: (len(s), s)):
         img = tuple(sorted({label[v] for v in s}))
         if len(img) != len(s):
-            return None
-        if group[owner.setdefault(img, s)] != group[s]:
-            return None
+            return None, (s, f"simplex {s} degenerates to {img} in the quotient")
+        first = owner.setdefault(img, s)
+        if group[first] != group[s]:
+            return None, ((first, s), f"distinct simplices {first} and {s} "
+                                      f"collide on {img} without being identified")
     dense = {x: i for i, x in enumerate(sorted(set(label.values())))}
     return ({tuple(dense[x] for x in img) for img in owner},
-            {v: dense[label[v]] for v in c.vertices})
+            {v: dense[label[v]] for v in c.vertices}), None
 
 
 def random_simplex_pair(rng, c):
@@ -316,15 +329,18 @@ def test_quotient_matches_global_validator():
         c = random_complex(rng, n_vertices=rng.randint(4, 9),
                            n_generators=rng.randint(2, 7))
         pairs = [random_simplex_pair(rng, c) for _ in range(rng.randint(1, 3))]
-        expected = brute_quotient(c, pairs)
-        verdicts.add(expected is None)
+        expected, failure = brute_quotient(c, pairs)
+        # None: valid; False: a simplex degenerates; True: two collide
+        verdicts.add(failure and isinstance(failure[0][0], tuple))
         if expected is None:
-            with pytest.raises(QuotientDegeneracyError):
+            # the first failure in (length, lex) order, with its message
+            with pytest.raises(QuotientDegeneracyError) as err:
                 quotient(c, pairs)
+            assert (err.value.witness, str(err.value)) == failure
         else:
             res = quotient(c, pairs)
             assert (set(res.complex.simplices), res.vertex_map) == expected
-    assert verdicts == {True, False}
+    assert verdicts == {None, False, True}
 
 
 def test_gcify_distance_rule_rejects_only_inadmissible_pairs():
@@ -351,7 +367,7 @@ def test_gcify_distance_rule_rejects_only_inadmissible_pairs():
         far = _far_pairs(nbrs, fa, fb)
         for perm in permutations(fb):
             ruled_out = not closed.isdisjoint(fb) or not far.issuperset(zip(fa, perm))
-            admissible = brute_quotient(c, [_simplex_pair(fa, perm)]) is not None
+            admissible = brute_quotient(c, [_simplex_pair(fa, perm)])[1] is None
             assert ruled_out != admissible, (sorted(c.simplices), fa, perm)
             verdicts.add((ruled_out, admissible))
     assert verdicts == {(True, False), (False, True)}

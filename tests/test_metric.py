@@ -489,7 +489,10 @@ def test_vertex_link_rejects_3_dimensional_star():
                                       r"vertex links are only built"),
             (edge_link_graph, 4, (0, 1),
              r"edge \(0, 1\) lies in \(0, 1, 2, 3, 4\); edge links are only "
-             r"built where the star is 3-dimensional")]:
+             r"built where the star is 3-dimensional"),
+            # a simplex that is not an edge is named, not left to unpacking
+            (edge_link_graph, 3, (0, 1, 2), r"^\(0, 1, 2\) is not an edge$"),
+            (edge_link_graph, 3, (0,), r"^\(0,\) is not an edge$")]:
         with pytest.raises(PfcError, match=message):
             link_graph(simplex_complex(n), at)
 
