@@ -7,8 +7,9 @@ into its bottom circle and covers its top circle with further interior
 segments; the result has no free faces and first homology of rank n (the
 rank-2 case uses a Moebius band instead).  Separately, `gcify` removes the
 free faces of an arbitrary complex by gluing them isometrically elsewhere
-(each gluing adds exactly one loop) and collapsing whatever remains; the
-reported count N is certified by the homology rank afterwards.
+(each gluing within one component adds exactly one loop) and collapsing
+whatever remains; the reported count N is certified by the homology rank
+afterwards.
 """
 
 from pfcomplex import (

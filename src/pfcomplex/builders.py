@@ -17,7 +17,7 @@ refuses non-simplicial or non-isometric gluings instead of repairing them.
 from __future__ import annotations
 
 import math
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, permutations, product
 from typing import NamedTuple
 
 import numpy as np
@@ -25,6 +25,7 @@ import numpy as np
 from .complexes import (
     Complex,
     QuotientDegeneracyError,
+    _UnionFind,
     build_complex,
     canonical_simplex,
     collapse_core,
@@ -282,9 +283,9 @@ def glue_double_tori(base: MetricComplex, interfaces,
     union, shifts = metric_disjoint_union(base, *(b for b, _ in parts))
     pairs = [_simplex_pair([shift[v] for v in interface], t)
              for t, (_, interface), shift in zip(marked, parts, shifts)]
-    assembled = MetricComplex(Complex(union.complex.simplices, name=name),
-                              union.lengths)
-    return metric_quotient(assembled, pairs)[0]
+    glued = metric_quotient(union, pairs)[0]
+    c = Complex.from_rows(glued.complex.vertices, glued.complex.rows, name)
+    return MetricComplex(c, glued.lengths)
 
 
 # ---------------------------------------------------------------------------
@@ -332,12 +333,8 @@ def example_complex(name: str) -> MetricComplex:
                                 [(0, 1, 2), (0, 1, 3), (0, 2, 3)],
                                 name=EXAMPLE1)
     if name == EXAMPLE2:
-        house = house_with_two_rooms()
-        base = box_complex(*_HOUSE_BOX)
-        for t in house.complex.k_simplices(2):
-            if t not in base.complex.simplices:
-                raise MetricError(f"house triangle {t} missing from the box")
-        return glue_double_tori(base, house.complex.k_simplices(2),
+        house = house_with_two_rooms().complex
+        return glue_double_tori(box_complex(*_HOUSE_BOX), house.k_simplices(2),
                                 name=EXAMPLE2)
     raise PfcError(f"unknown example {name!r}")
 
@@ -630,29 +627,27 @@ def gcify(mc: MetricComplex) -> GcifyResult:
     """Remove every free face; the fundamental group gains a free factor.
 
     Free faces disappear through two homotopy-controlled moves.  Isometric
-    identification of a free face with a disjoint simplex adds exactly one
-    loop (one unit of first homology rank); the count of identifications is
+    identification of a free face with a disjoint simplex in its own
+    component adds exactly one loop (one unit of first homology rank), and
+    with one in another component merges the two; the count of loops is
     reported.  Elementary collapses remove free face / coface pairs without
     changing the homotopy type at all.  The loop identifies whatever it can,
     subdividing at midpoints until the first identification lands, and
-    collapses the rest; the result has no free faces and first homology
-    rank increased by exactly the reported count.
+    collapses the rest; the result has no free faces, first homology rank
+    increased by exactly the reported count and zeroth rank decreased by
+    the merges.
     """
-    work = mc
-    added = 0
-    rounds = 0
+    work, added, rounds, identified = mc, 0, 0, False
     while True:
         frees = free_faces(work.complex)
         if not frees:
             break
-        batch = _identification_batch(work, frees)
-        applied = 0
-        if batch:
-            work, applied = _apply_batch(work, batch)
-            added += applied
+        glued, applied = _apply_batch(work, _identification_batch(work, frees))
         if applied:
+            added += _loop_count(work.complex, applied)
+            work, identified = glued, True
             continue
-        if added:
+        if identified:
             # nothing left to identify: collapsing is homotopy-preserving
             # and always terminates with zero free faces
             core, _ = collapse_core(work.complex)
@@ -670,18 +665,27 @@ def gcify(mc: MetricComplex) -> GcifyResult:
 
 
 def _apply_batch(work, batch):
-    """Apply as large a prefix of the batch as validates in one quotient.
+    """Apply as large a prefix of the batch as validates in one quotient;
+    returns the glued complex and that prefix.
 
-    Each pair is admissible on its own in the same complex; rare
-    interactions between them are resolved by halving the batch.  Dropped
-    pairs are rediscovered on the next sweep.
-    """
+    Each pair is admissible on its own in the same complex; rare interactions
+    between them are resolved by halving the batch.  Dropped pairs are
+    rediscovered on the next sweep."""
     while batch:
         try:
-            return metric_quotient(work, batch)[0], len(batch)
+            return metric_quotient(work, batch)[0], batch
         except (QuotientDegeneracyError, MetricError):
             batch = batch[:len(batch) // 2]
-    return work, 0
+    return work, []
+
+
+def _loop_count(c: Complex, pairs) -> int:
+    """How many of the pairs, applied in order to c, identify two simplices
+    already in one component; every other pair merges two components."""
+    parts = _UnionFind()
+    for u, v in c.k_simplices(1):
+        parts.union(u, v)
+    return sum(not parts.union(*next(iter(vmap.items()))) for _, _, vmap in pairs)
 
 
 def _identification_batch(mc: MetricComplex, frees):
@@ -710,10 +714,7 @@ def _identification_batch(mc: MetricComplex, frees):
             for v, st in mc.complex.vertex_star.items()}
 
     def length_key(s):
-        if len(s) == 1:
-            return (len(s),)
-        return (len(s),) + tuple(round(l, 9)
-                                 for l in sorted(mc.simplex_lengths(s)))
+        return (len(s),) + tuple(round(l, 9) for l in sorted(mc.simplex_lengths(s)))
 
     def pollution(s):
         return sum(len(nbrs[v]) for v in s)
@@ -721,9 +722,8 @@ def _identification_batch(mc: MetricComplex, frees):
     free_key = {p.face: length_key(p.face) for p in frees}
     sizes = {len(s) for s in free_key}
     by_key = {}
-    for s in mc.complex.simplices:
-        if len(s) in sizes:
-            by_key.setdefault(length_key(s), []).append(s)
+    for s in chain.from_iterable(mc.complex.k_simplices(n - 1) for n in sizes):
+        by_key.setdefault(length_key(s), []).append(s)
     for key in set(free_key.values()):
         # least-entangled partners first, free or not: fresh free pieces can
         # absorb each other, saving the interior supply for the rest

@@ -13,7 +13,6 @@ reports are reproducible byte for byte.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, combinations, compress
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -67,24 +66,23 @@ def faces_of(simplex: Simplex) -> list[Simplex]:
 class CellIndex(NamedTuple):
     """Integer ids for the cells of a complex, in (length, lex) order.
 
-    cells[i] is the complex's own tuple for cell i, and the k-simplices have
-    the ids offsets[k]:offsets[k + 1].  Row j of the int64 array faces[k]
-    holds the face ids of the j-th k-simplex, column i the face that drops
-    vertex i (boundary coefficient (-1)**i); faces[0] has no columns.
+    The k-simplices have the ids offsets[k]:offsets[k + 1], in the order of
+    the complex's rows[k].  Row j of the int64 array faces[k] holds the face
+    ids of the j-th k-simplex, column i the face that drops vertex i
+    (boundary coefficient (-1)**i); faces[0] has no columns.
     """
 
-    cells: list
     offsets: list
     faces: tuple
 
     def coface_counts(self) -> np.ndarray:
         """Number of codimension-1 cofaces of each cell."""
         return np.bincount(np.concatenate([f.ravel() for f in self.faces]),
-                           minlength=len(self.cells))
+                           minlength=self.offsets[-1])
 
     def cofaces(self):
         """Codimension-1 cofaces, ascending, of cell f: cob[ptr[f]:ptr[f + 1]]."""
-        owners = np.repeat(np.arange(len(self.cells)), np.repeat(
+        owners = np.repeat(np.arange(self.offsets[-1]), np.repeat(
             [f.shape[1] for f in self.faces], np.diff(self.offsets)))
         face_ids = np.concatenate([f.ravel() for f in self.faces])
         ptr = np.concatenate([[0], self.coface_counts().cumsum()])
@@ -96,42 +94,6 @@ class CellIndex(NamedTuple):
         return [row for f in self.faces for row in f.tolist()], ptr.tolist(), cob.tolist()
 
 
-def _rows(simplices) -> dict:
-    """Simplices by length n, ascending: n -> (tuples, (count, n) int64 rows)."""
-    by_len = {}
-    for s in simplices:
-        by_len.setdefault(len(s), []).append(s)
-    return {n: (g, np.fromiter(chain.from_iterable(g), np.int64, n * len(g)).reshape(-1, n))
-            for n, g in sorted(by_len.items())}
-
-
-def _index_cells(simplices) -> CellIndex:
-    """The (length, lex) numbering of a face-closed set of simplices.
-
-    Vertices are ranked once, and a k-simplex's lexicographic key is (rank
-    of its first vertex, id of the face dropping it), so every order and
-    face id comes from numpy sorts and searches over integer keys.
-    """
-    rows = _rows(simplices)
-    points, vid = rows.get(1, ([], np.zeros((0, 1), np.int64)))
-    order = np.argsort(vid[:, 0])
-    cells, verts = [points[i] for i in order.tolist()], vid[order, 0]
-    keys = [np.arange(len(verts))]  # sorted lexicographic keys per dimension
-    faces, offsets = [np.zeros((len(verts), 0), dtype=np.int64)], [0, len(verts)]
-    for k in range(1, max(rows, default=1)):
-        group, ranks = rows[k + 1]
-        ranks = np.searchsorted(verts, ranks)
-        lex = ranks[:, 0] * len(keys[k - 1]) + _row_ids(keys, ranks[:, 1:])
-        order = np.argsort(lex)
-        ranks = ranks[order]
-        keys.append(lex[order])
-        cells += [group[i] for i in order.tolist()]
-        faces.append(np.stack([_row_ids(keys, np.delete(ranks, i, axis=1))
-                               for i in range(k + 1)], axis=1) + offsets[k - 1])
-        offsets.append(offsets[k] + len(group))
-    return CellIndex(cells, offsets, tuple(faces))
-
-
 def _row_ids(keys, ranks) -> np.ndarray:
     """Ids of rows of vertex ranks among the simplices of their dimension,
     given the sorted keys of every lower dimension; suffixes first."""
@@ -141,56 +103,97 @@ def _row_ids(keys, ranks) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
 class Complex:
     """A face-closed set of simplices with an optional label.
 
-    Instances are immutable; construct through :func:`build_complex`, which
-    applies the face closure, rather than directly.
+    It holds its ascending vertex ids (the caller's own objects) and, per
+    dimension k, the lexicographically sorted (n_k, k + 1) int64 rows of
+    their positions; every other view is derived on first use.  Instances
+    are immutable; construct through :func:`build_complex`, which applies
+    the face closure, rather than directly.
     """
 
-    simplices: frozenset = field(default_factory=frozenset)
-    name: str | None = field(default=None, compare=False)
+    def __init__(self, simplices: Iterable[Simplex] = (), name: str | None = None):
+        by_len = {}
+        for s in simplices:
+            by_len.setdefault(len(s), []).append(s)
+        ids = np.sort(np.fromiter((v for v, in by_len.get(1, ())), np.int64))
+        rows, cells = [], []
+        for n in range(1, max(by_len, default=0) + 1):
+            g = by_len[n]
+            r = np.searchsorted(ids, np.fromiter(chain.from_iterable(g), np.int64).reshape(-1, n))
+            order = np.lexsort(r.T[::-1])
+            rows.append(r[order])
+            cells += [g[i] for i in order.tolist()]
+        self.vertices, self.rows, self.name = [v for v, in cells[:len(ids)]], tuple(rows), name
+        self.cells = cells  # the given tuples, so the tuple view shares them
+
+    @classmethod
+    def from_rows(cls, vertices: list, rows, name: str | None = None) -> "Complex":
+        """The complex on the ascending vertex ids whose k-simplices are the
+        sorted position rows rows[k]."""
+        c = cls.__new__(cls)
+        c.vertices, c.rows, c.name = vertices, tuple(rows), name
+        return c
+
+    def __eq__(self, other):  # the name is ignored
+        return isinstance(other, Complex) and self.simplices == other.simplices
+
+    def __hash__(self):
+        return hash(self.simplices)
 
     def __iter__(self):
-        return iter(self.index.cells)
+        return iter(self.cells)
 
     def __len__(self):
-        return len(self.simplices)
+        return sum(map(len, self.rows))
 
     def __contains__(self, s) -> bool:
         return tuple(s) in self.simplices
 
     @cached_property
+    def cells(self) -> list[Simplex]:
+        """Every simplex as a tuple, in (length, lex) order.  Cached; each
+        vertex id is one object shared by every tuple holding it."""
+        ids = np.array(self.vertices, dtype=object)
+        return list(chain.from_iterable(zip(*ids[r].T.tolist()) for r in self.rows))
+
+    @cached_property
+    def simplices(self) -> frozenset:
+        """The simplices as a frozenset of tuples.  Cached."""
+        return frozenset(self.cells)
+
+    @cached_property
     def dim(self) -> int:
         """Max simplex dimension; -1 for the empty complex.  Cached."""
-        if not self.simplices:
-            return -1
-        return max(len(s) for s in self.simplices) - 1
+        return len(self.rows) - 1
 
     @cached_property
     def index(self) -> CellIndex:
-        """The cell numbering incidence queries read; built on first use."""
-        return _index_cells(self.simplices)
-
-    @cached_property
-    def vertices(self) -> list[int]:
-        """Vertex ids in ascending order.  Cached; callers never mutate it."""
-        return sorted(s[0] for s in self.simplices if len(s) == 1)
+        """The face table incidence queries read; built on first use.  A
+        k-simplex's key, (rank of its first vertex, id of the face dropping
+        it), ascends with the rows, so face ids are searches over keys."""
+        rows = self.rows or (np.zeros((0, 1), np.int64),)
+        keys, faces, offsets = [rows[0][:, 0]], [rows[0][:, :0]], [0, len(rows[0])]
+        for k, r in enumerate(rows[1:], 1):
+            f = np.stack([_row_ids(keys, np.delete(r, i, axis=1)) for i in range(k + 1)], 1)
+            keys.append(r[:, 0] * len(keys[-1]) + f[:, 0])
+            faces.append(f + offsets[k - 1])
+            offsets.append(offsets[k] + len(r))
+        return CellIndex(offsets, tuple(faces))
 
     def k_simplices(self, k: int) -> list[Simplex]:
         """All k-dimensional simplices in lexicographic order (a new list)."""
-        lo, hi = self.index.offsets[k:k + 2] if 0 <= k <= self.dim else (0, 0)
-        return self.index.cells[lo:hi]
+        lo = sum(map(len, self.rows[:k]))
+        return self.cells[lo:lo + len(self.rows[k])] if 0 <= k <= self.dim else []
 
     def counts(self) -> list[int]:
         """Number of simplices in each dimension 0..dim."""
-        return np.diff(self.index.offsets)[:self.dim + 1].tolist()
+        return list(map(len, self.rows))
 
     def facets(self) -> list[Simplex]:
         """Maximal simplices (those with no proper coface)."""
-        return [s for s, n in zip(self.index.cells,
-                                  self.index.coface_counts().tolist()) if not n]
+        return [s for s, n in zip(self.cells, self.index.coface_counts().tolist()) if not n]
 
     @cached_property
     def vertex_star(self) -> dict:
@@ -200,7 +203,7 @@ class Complex:
         on first use; every query about one simplex's star reads it.
         """
         out = {}
-        for s in self.index.cells:
+        for s in self.cells:
             for v in s:
                 out.setdefault(v, []).append(s)
         return {v: tuple(st) for v, st in out.items()}
@@ -230,7 +233,7 @@ def build_complex(generators: Iterable[Sequence[int]], name: str | None = None) 
     simplices = set()
     for g in generators:
         simplices.update(faces_of(canonical_simplex(g)))
-    return Complex(frozenset(simplices), name=name)
+    return Complex(simplices, name=name)
 
 
 def star(c: Complex, s) -> Complex:
@@ -241,7 +244,7 @@ def star(c: Complex, s) -> Complex:
 def link(c: Complex, s) -> Complex:
     """The link of s: simplices disjoint from s whose join with s is present."""
     s, *cofaces = c.open_star(s)
-    return Complex(frozenset(tuple(x for x in t if x not in s) for t in cofaces))
+    return Complex(tuple(x for x in t if x not in s) for t in cofaces)
 
 
 class FreeFacePair(NamedTuple):
@@ -258,8 +261,7 @@ def free_faces(c: Complex) -> list[FreeFacePair]:
     """
     ptr, cob = c.index.cofaces()
     free = np.flatnonzero(np.diff(ptr) == 1)
-    cells = c.index.cells
-    return [FreeFacePair(cells[f], cells[t])
+    return [FreeFacePair(c.cells[f], c.cells[t])
             for f, t in zip(free.tolist(), cob[ptr[free]].tolist())]
 
 
@@ -287,8 +289,7 @@ def collapse_core(c: Complex) -> CollapseResult:
     its unique coface, so the result is deterministic even where the core
     itself is not canonical.
     """
-    idx = c.index
-    faces, ptr, cob = idx.incidence_lists()
+    faces, ptr, cob = c.index.incidence_lists()
     n_co = [hi - lo for lo, hi in zip(ptr, ptr[1:])]
     alive = bytearray(b"\x01") * len(n_co)
     # coface counts only fall, so every free face enters the heap once, when
@@ -307,13 +308,13 @@ def collapse_core(c: Complex) -> CollapseResult:
                 n_co[sub] -= 1
                 if n_co[sub] == 1:
                     heapq.heappush(heap, sub)
-    core = Complex(frozenset(compress(idx.cells, alive)), name=c.name)
+    core = Complex(compress(c.cells, alive), name=c.name)
     return CollapseResult(core, (len(c) - len(core)) // 2)
 
 
 def euler_characteristic(c: Complex) -> int:
     """Alternating sum of simplex counts."""
-    return sum(1 if len(s) % 2 else -1 for s in c.simplices)
+    return sum(len(r) * (-1) ** k for k, r in enumerate(c.rows))
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +338,10 @@ class _UnionFind(dict):
             self[x], x = root, self[x]
         return root
 
-    def union(self, a, b):
+    def union(self, a, b) -> bool:
         ra, rb = sorted((self.find(a), self.find(b)))
         self[rb] = ra
+        return ra != rb  # False if a and b were in one class already
 
 
 def _normalize_pair(c: Complex, i: int, pair) -> tuple:
@@ -392,14 +394,13 @@ def quotient(c: Complex, pairs: Sequence) -> QuotientResult:
         for v, w in vmap.items():
             verts.union(v, w)
 
-    rows = _rows(c.simplices)
-    old = np.sort(rows.get(1, ([], np.zeros((0, 1), np.int64)))[1][:, 0])
+    old = c.vertices
     roots = {v: verts.find(v) for v in list(verts)}
-    rep = np.fromiter(map(roots.get, old.tolist(), old.tolist()), np.int64, len(old))
+    rep = np.fromiter(map(roots.get, old, old), np.int64, len(old))
     reps, new = np.unique(rep, return_inverse=True)  # dense ids in the classes' order
     out = []
-    for simplices, r in rows.values():
-        img = np.sort(new[np.searchsorted(old, r)], axis=1)
+    for r in c.rows:
+        img = np.sort(new[r], axis=1)
         order = np.lexsort(img.T[::-1])
         img = img[order]
         first = np.concatenate(([True], (img[1:] != img[:-1]).any(axis=1)))
@@ -407,7 +408,8 @@ def quotient(c: Complex, pairs: Sequence) -> QuotientResult:
         suspect = ((img[:, 1:] == img[:, :-1]).any(axis=1) | ~first
                    | ~np.concatenate((first[1:], [True])))
         images = {}  # image of a suspect -> the first suspect landing on it
-        for s in sorted(simplices[i] for i in order[suspect].tolist()):
+        for s in (tuple(old[j] for j in r[i].tolist())
+                  for i in sorted(order[suspect].tolist())):
             image = tuple(sorted({roots.get(v, v) for v in s}))
             if len(image) != len(s):
                 raise QuotientDegeneracyError(
@@ -418,27 +420,26 @@ def quotient(c: Complex, pairs: Sequence) -> QuotientResult:
                     f"distinct simplices {prior} and {s} collide on {image} "
                     f"without being identified", witness=(prior, s))
         out.append(img[first])
-    ids = np.arange(len(reps)).astype(object)  # one int object per id, shared by all tuples
-    glued = frozenset(chain.from_iterable(zip(*ids[a].T.tolist()) for a in out))
-    return QuotientResult(Complex(glued, name=c.name),
-                          dict(zip(old.tolist(), ids[new].tolist())))
+    ids = list(range(len(reps)))
+    return QuotientResult(Complex.from_rows(ids, out, name=c.name),
+                          dict(zip(old, map(ids.__getitem__, new.tolist()))))
 
 
 def disjoint_union(first: Complex, *rest: Complex) -> tuple[Complex, list]:
     """Disjoint union, each part in rest relabelled above every id before
-    it; returns the union and one old-to-new vertex map per part in rest."""
-    at = {}  # per distinct part, its rows as positions among its sorted vertices
-    out = [first.simplices]
+    it; returns the union and one old-to-new vertex map per part in rest.
+    A part's rows move up by the number of vertices before it, so the
+    concatenated rows stay sorted."""
+    vertices, rows, shifts = list(first.vertices), [first.rows], []
     top = int(max(first.vertices, default=-1))  # box ids are numpy ints
-    shifts = []
     for part in rest:
         shift = {v: v + top + 1 for v in part.vertices}
         top = max(shift.values(), default=top)
         if top >= 2**63:
             raise PfcError(f"shifted vertex id {top} is not below 2**63")
-        at[id(part)] = at.get(id(part)) or [np.searchsorted(part.vertices, r)
-                                            for _, r in _rows(part.simplices).values()]
-        ids = np.array(list(shift.values()), dtype=object)  # shared by all its tuples
-        out += [zip(*ids[a].T.tolist()) for a in at[id(part)]]
+        rows.append([r + len(vertices) for r in part.rows])
+        vertices += shift.values()
         shifts.append(shift)
-    return Complex(frozenset(chain.from_iterable(out))), shifts
+    dims = range(max(map(len, rows)))
+    return Complex.from_rows(vertices, [np.concatenate([p[k] for p in rows if k < len(p)])
+                                        for k in dims]), shifts

@@ -97,7 +97,7 @@ def _morse_core(c: Complex, excluded) -> list[dict]:
     no working faces, becomes critical (an ace).
     """
     idx = c.index
-    dropped = np.fromiter(map(excluded.__contains__, idx.cells), bool, len(idx.cells))
+    dropped = np.fromiter(map(excluded.__contains__, c.cells), bool, len(c))
     n_work = np.concatenate([(~dropped[f]).sum(axis=1) for f in idx.faces])
     queue = deque(np.flatnonzero(~dropped & (n_work == 1)).tolist())
     # 0 working, 1 critical, 2 paired or excluded

@@ -36,8 +36,7 @@ def serialize(mc: MetricComplex) -> str:
     """Emit a metric complex (or a bare complex wrapped with no lengths);
     a name that would not parse back unchanged is a PfcError."""
     c = mc.complex
-    verts = c.vertices
-    n = (max(verts) + 1) if verts else 0
+    n = (c.vertices[-1] + 1) if c.vertices else 0
     lines = [f"pfc {FORMAT_VERSION}"]
     if c.name:
         if "#" in c.name or c.name != " ".join(c.name.split()):
@@ -121,11 +120,9 @@ def parse(text: str, validate: bool = True) -> MetricComplex:
         raise PfcSyntaxError("missing 'pfc' header", 1)
 
     c = build_complex(generators, name=name)
-    if nverts is not None:
-        for v in c.vertices:
-            if v >= nverts:
-                raise PfcSyntaxError(
-                    f"vertex {v} exceeds declared vertex count {nverts}")
+    big = [v for v in c.vertices if nverts is not None and v >= nverts]
+    if big:
+        raise PfcSyntaxError(f"vertex {big[0]} exceeds declared vertex count {nverts}")
     if dim_declared is not None and c.dim > dim_declared:
         raise PfcSyntaxError(
             f"simplices of dimension {c.dim} exceed declared dim {dim_declared}")

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from pfcomplex import (
+    MetricComplex,
     PfcError,
     QuotientDegeneracyError,
     betti,
@@ -34,7 +35,9 @@ from pfcomplex import (
     girth,
     glue_double_tori,
     house_with_two_rooms,
+    link_condition_check,
     local_homology,
+    metric_disjoint_union,
     midpoint_subdivision,
     quotient,
     simplex_complex,
@@ -271,6 +274,32 @@ def test_gcify_idempotent():
     assert again.complex is out
 
 
+def test_gcify_counts_no_loop_for_a_component_merge():
+    # an identification between two components merges them (b0 falls by
+    # one) and adds no loop, so b1 rises by exactly added_loops
+    pool = [lambda: simplex_complex(1), lambda: simplex_complex(2),
+            lambda: simplex_complex(3), lambda: box_complex(1, 1, 1),
+            lambda: box_complex(2, 1, 1), lambda: flat_torus2(3)]
+    cases = [((simplex_complex(2), simplex_complex(2)), 0),
+             ((simplex_complex(3), simplex_complex(3)), 0),
+             ((box_complex(1, 1, 1), simplex_complex(3)), 2)]
+    rng = random.Random(29)
+    cases += [(tuple(rng.choice(pool)() for _ in range(rng.randint(2, 3))), None)
+              for _ in range(12)]
+    for parts, loops in cases:
+        mc = metric_disjoint_union(*parts)[0]
+        res = gcify(mc)
+        assert free_faces(res.complex.complex) == []
+        before, after = betti(mc.complex).ranks, betti(res.complex.complex).ranks
+        width = max(len(before), len(after))
+        before, after = (r + (0,) * (width - len(r)) for r in (before, after))
+        assert after[1] - before[1] == res.added_loops
+        assert after[2:] == before[2:]
+        assert 1 <= after[0] <= before[0]
+        if loops is not None:
+            assert res.added_loops == loops
+
+
 # The candidate search that the 1-skeleton distance rule replaced, kept as a
 # reference: it enumerates every permutation of every partner and lets a
 # whole-complex quotient reject them.
@@ -474,6 +503,29 @@ def test_genus_surface_identified_certificates():
     assert sorted(counts.values()).count(4) == 1
     assert cat0_two_complex_check(z).verdict == "pass"
     assert extendability_check(z).verdict == "pass"
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_npc_surface_with_fins_collapses_to_an_extendable_core(n):
+    # the paper's positive case for 2-complexes (Bridson-Haefliger p. 208):
+    # collapsing the free faces of an npc 2-complex leaves a geodesically
+    # complete npc subcomplex.  A fin is an equilateral triangle on a
+    # surface edge and a new vertex; its link arcs hang off the link
+    # circles, so the link condition still holds, and its two free edges
+    # collapse away.
+    y = genus_surface(n, identify_segments=False)
+    rng = random.Random(n)
+    tris, lengths = list(y.complex), dict(y.lengths)
+    for w, (u, v) in enumerate(rng.sample(y.complex.k_simplices(1), 5),
+                               start=y.complex.vertices[-1] + 1):
+        tris.append((u, v, w))
+        lengths[(u, w)] = lengths[(v, w)] = y.lengths[(u, v)]
+    finned = MetricComplex(build_complex(tris), lengths)
+    validate_metric(finned)
+    assert link_condition_check(finned).verdict == "pass"
+    core, steps = collapse_core(finned.complex)
+    assert steps == 10 and core == y.complex
+    assert extendability_check(finned.restrict(core)).verdict == "pass"
 
 
 def test_genus_surface_rejects_small_genus():

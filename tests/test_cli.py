@@ -207,6 +207,8 @@ def test_report_example1_json():
     code, out = run(["report", "example1", "--json"])
     assert code == 0
     payload = json.loads(out)
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "497e4ca4c281c07caed07132d9ef0a8b92daeaf13ade8b57e3c9f8a4247519e0"
     assert payload["obstruction_reproduced"] is True
     assert payload["intrinsic_link_verdict"] == "fail"
     assert payload["override_link_verdict"] == "pass"
@@ -216,6 +218,8 @@ def test_report_example1_json():
 def test_report_example2():
     code, out = run(["report", "example2", "--json"])
     assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "e5062d84e28503faf4076f38b8d1787cc5e9bc48dd6fb4aff8e9992b684bdf0a"
     payload = json.loads(out)
     assert payload["obstruction_reproduced"] is True
     assert payload["house_free_faces"] == 0
@@ -268,11 +272,15 @@ def test_check_json_bytes_are_pinned(check, target, code, digest, pfc_files):
      "b42d9867b951b2c9099f8aa0530407fd36c8950117944b4b577f42b5b5ce805c"),
     ("genus 6",
      "780c41d1c4043841a7ea3d4b51046ed63e3b02a7491f96dec490fa49d2cfdcc2"),
+    ("gcify example1.pfc",
+     "849fe9244a794c807f3e62c5ca59e5d68f7e75b50e64f280c12133c2e2b33c1d"),
 ])
 def test_build_bytes_are_pinned(target, digest):
     """Every built complex keeps its exact bytes: the sha256 of `pfc build`
-    stdout as captured before the builders shared one Freudenthal grid."""
-    code, out = run(["build", *target.split()])
+    stdout as captured before the builders shared one Freudenthal grid (and,
+    for gcify, before a complex became one row array per dimension)."""
+    argv = [fixture(w) if w.endswith(".pfc") else w for w in target.split()]
+    code, out = run(["build", *argv])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

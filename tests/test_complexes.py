@@ -3,6 +3,7 @@
 import random
 from itertools import combinations, permutations
 
+import numpy as np
 import pytest
 
 from pfcomplex import (
@@ -27,6 +28,14 @@ def random_complex(rng, n_vertices=8, n_generators=6, max_dim=3):
         k = rng.randint(1, max_dim + 1)
         gens.append(tuple(rng.sample(range(n_vertices), k)))
     return build_complex(gens)
+
+
+def assert_canonical(c):
+    """c equals the closure of its own simplices and iterates in (length,
+    lex) order, as a complex built from tuples does."""
+    assert c == build_complex(c.simplices)
+    cells = list(c)
+    assert cells == sorted(cells, key=lambda s: (len(s), s))
 
 
 def test_delta3_closure_count():
@@ -207,6 +216,14 @@ def test_quotients_and_unions_leave_the_cell_index_unbuilt():
         assert "index" not in vars(part)
     assert shifts == [{0: 3, 1: 4, 2: 5}, {0: 6, 1: 7, 2: 8, 3: 9}]
     assert union.counts() == [10, 11, 5, 1]
+    # a box part keeps its numpy ids, which perfbench's box digests hash
+    box = box_complex(1, 1, 1).complex
+    boxed, _ = disjoint_union(box, a, c)
+    for u in (union, boxed):
+        assert_canonical(u)
+    kept = [s for s in boxed.simplices if s[0] <= box.vertices[-1]]
+    assert set(kept) == box.simplices
+    assert {type(v) for s in kept for v in s} == {np.int64}
 
 
 def test_disjoint_union_keeps_vertex_ids_below_2_63():
@@ -221,6 +238,11 @@ def test_disjoint_union_keeps_vertex_ids_below_2_63():
     first, second = build_complex([(2**63 - 6,)]), build_complex([(0, 1)])
     union, _ = disjoint_union(first, second, build_complex([(0, 1, 2)]))
     assert max(union.vertices) == 2**63 - 1
+    assert_canonical(union)
+    box = box_complex(1, 1, 1).complex
+    union, _ = disjoint_union(box, build_complex([(2**63 - 10, 2**63 - 9)]))
+    assert_canonical(union)
+    assert {type(v) for s in union.simplices if s[0] <= 7 for v in s} == {np.int64}
     with pytest.raises(PfcError, match=r"shifted vertex id 9223372036854775808 "
                                        r"is not below 2\*\*63"):
         disjoint_union(first, second, build_complex([(0, 1, 2, 3)]))
@@ -340,6 +362,7 @@ def test_quotient_matches_global_validator():
         else:
             res = quotient(c, pairs)
             assert (set(res.complex.simplices), res.vertex_map) == expected
+            assert_canonical(res.complex)
     assert verdicts == {None, False, True}
 
 
