@@ -4,7 +4,10 @@ A short homology tour: flat tori, torsion, relative pairs, local homology.
 Under the hood coreduction first pairs each cell that has a single working
 face with that face, keeping the exact boundary of the cells it leaves
 critical, and those critical cells go through integer Smith reduction, so
-ranks and torsion come out exact.  GF(2)
+ranks and torsion come out exact.  The pairing runs in numpy rounds that
+take every ready cell at once; when none is ready, the least cell of each
+connected component of the working cells becomes critical.  On the paper's
+195,399-cell example2 `betti` takes about 0.2-0.3 s on a 2-core Xeon.  GF(2)
 ranks follow from the integer invariant factors: each even one adds a rank
 mod 2 in two adjacent degrees, as the projective plane below shows.
 """

@@ -88,11 +88,6 @@ class CellIndex(NamedTuple):
         ptr = np.concatenate([[0], self.coface_counts().cumsum()])
         return ptr, owners[np.argsort(face_ids, kind="stable")]
 
-    def incidence_lists(self) -> tuple[list, list, list]:
-        """Face ids per cell and the cofaces (ptr, cob), as Python lists."""
-        ptr, cob = self.cofaces()
-        return [row for f in self.faces for row in f.tolist()], ptr.tolist(), cob.tolist()
-
 
 def _row_ids(keys, ranks) -> np.ndarray:
     """Ids of rows of vertex ranks among the simplices of their dimension,
@@ -289,7 +284,8 @@ def collapse_core(c: Complex) -> CollapseResult:
     its unique coface, so the result is deterministic even where the core
     itself is not canonical.
     """
-    faces, ptr, cob = c.index.incidence_lists()
+    ptr, cob = (a.tolist() for a in c.index.cofaces())
+    faces = [row for f in c.index.faces for row in f.tolist()]
     n_co = [hi - lo for lo, hi in zip(ptr, ptr[1:])]
     alive = bytearray(b"\x01") * len(n_co)
     # coface counts only fall, so every free face enters the heap once, when

@@ -415,11 +415,12 @@ def test_coreduction_matches_oracles_with_aces_in_several_degrees(name):
 
 
 @pytest.mark.parametrize("name, size", [
-    ("torus3", 7), ("genus3", 7), ("example1", 42)])
+    ("torus3", 7), ("genus3", 7), ("example1", 42), ("example2", 1960)])
 def test_morse_core_has_reduced_betti_sum_cells(name, size):
     c = {"torus3": lambda: flat_torus3(3),
          "genus3": lambda: genus_surface(3),
-         "example1": lambda: example_complex("example1")}[name]().complex
+         "example1": lambda: example_complex("example1"),
+         "example2": lambda: example_complex("example2")}[name]().complex
     assert sum(critical_counts(c)) == size == sum(betti(c).ranks) - 1
 
 
@@ -432,6 +433,14 @@ def test_morse_core_keeps_one_boundaryless_vertex_per_component():
         core = _morse_core(c, frozenset())
         assert len(core[0]) == components(c)
         assert all(not d for k in core[:2] for d in k.values())
+        # the Morse boundaries compose to zero
+        for lower, upper in zip(core, core[1:]):
+            for bd in upper.values():
+                total = {}
+                for x, v in bd.items():
+                    for y, w in lower[x].items():
+                        total[y] = total.get(y, 0) + v * w
+                assert not any(total.values())
 
 
 def test_morse_core_of_house_is_small():
@@ -468,7 +477,7 @@ def test_relative_containment_error():
     c = build_complex([(0, 1, 2)])
     other = build_complex([(5, 6)])
     with pytest.raises(PfcError, match=r"relative subcomplex contains "
-                                       r"\(6,\), not in complex"):
+                                       r"\(5,\), not in complex"):
         betti(c, "z", relative_to=other)
 
 
