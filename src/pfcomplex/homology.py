@@ -13,10 +13,10 @@ inside a desk-scale time budget, the loop runs on a Morse complex:
 coreduction (Mrozek & Batko) on integer cell ids pairs each cell that has a
 single working face with that face and carries the boundary of the
 critical cells exactly, as in Harker, Mischaikow, Mrozek & Nanda.  Numpy
-rounds pair every ready cell at once, and when none is ready, one cell per
-component of the working cells becomes critical.  Only the critical cells,
-usually as many as the Betti numbers need, are diagonalised.  `betti` of
-example2 (195,399 cells) takes about 0.2-0.3 s on a 2-core Xeon.
+rounds pair every ready cell at once; with none ready, the least cell of
+each working component becomes critical.  Only the critical cells, usually
+as many as the Betti numbers need, are diagonalised; `betti` of example2
+(195,399 cells) takes about 0.2-0.3 s on a 2-core Xeon.
 """
 
 from __future__ import annotations
@@ -87,9 +87,8 @@ def boundary_matrix(c: Complex, k: int, ring: str = RING_Z) -> ChainMatrix:
 
 
 def _component_minima(table, working):
-    """Least cell of each component of the working cells, over face-coface
-    adjacency: each edge hooks its larger root onto its smaller one and
-    labels jump to their roots, until no edge joins two roots."""
+    """Least cell of each face-coface component of the working cells: edges
+    hook their larger root onto their smaller one until none joins two."""
     work = np.flatnonzero(working)
     rows = table[work]
     pos = np.zeros(len(working), np.int64)
@@ -116,16 +115,15 @@ def _morse_core(c: Complex, excluded) -> list[dict]:
     Since the rest of `d(t)` is critical, the pivot is a unit and fill-in
     lands only on critical cells, so the reduction is exact over Z.
 
-    Pairing runs in numpy rounds.  A round takes every working cell with one
-    working face, keeps the least such cell per face, and drops a pair whose
-    cell is another kept pair's face.  Kept pairs then share no cell, and no
-    kept cell is a working face of another pair's cell (its only working
-    face is its partner, and no kept face is a kept cell).  Critical parts
-    reach a cell only through its working faces, so retiring all kept pairs
-    at once equals retiring them one at a time.  With no pair left, the
-    least working cell of each component of the working cells becomes
+    It runs in numpy rounds.  A round pairs every working cell with one
+    working face, keeping the least per face and dropping a pair whose cell
+    is another kept pair's face.  Kept pairs then share no cell, so no kept
+    cell is a working face of another pair's cell, whose only one is its
+    partner.  Critical parts reach a cell only through its working faces, so
+    retiring all kept pairs at once equals retiring them one at a time.  With
+    no pair left, the least working cell of each working component becomes
     critical (an ace; it has no working face).  Components only split and
-    never touch, so this is the sequential choice made in each at once.  On
+    never touch, so this is the sequential choice, made in each at once.  On
     example2 (195,399 cells): 45 rounds, 8 ace rounds, about 0.2 s.
     """
     idx = c.index
@@ -146,7 +144,8 @@ def _morse_core(c: Complex, excluded) -> list[dict]:
         lo, lens = ptr[cells], ptr[cells + 1] - ptr[cells]
         src = np.repeat(np.arange(len(cells)), lens)
         u = cob[np.arange(len(src)) + np.repeat(lo - lens.cumsum() + lens, lens)]
-        return src[state[u] == 0], u[state[u] == 0]
+        live = state[u] == 0
+        return src[live], u[live]
 
     def retire(cells, rest):  # working cofaces lose a working face
         u = working_cofaces(cells)[1]
@@ -164,9 +163,10 @@ def _morse_core(c: Complex, excluded) -> list[dict]:
         w = np.concatenate((val, np.where(j % 2, -v[src], v[src])))
         order = np.flatnonzero(state[k // (n + 1)] < 2)
         order = order[np.argsort(k[order])]
-        first = np.flatnonzero(np.diff(k[order], prepend=-1))
-        w = np.add.reduceat(w[order], first)
-        return k[order][first][w != 0], w[w != 0]
+        k, first = k[order], np.ones(len(order), bool)
+        first[1:] = k[1:] != k[:-1]
+        w = np.add.reduceat(w[order], np.flatnonzero(first))
+        return k[first][w != 0], w[w != 0]
 
     cand = np.flatnonzero((state == 0) & (n_work == 1))
     while len(cand) or (state == 0).any():
