@@ -147,12 +147,8 @@ def _morse_core(c: Complex, excluded) -> list[dict]:
         live = state[u] == 0
         return src[live], u[live]
 
-    def retire(cells, rest):  # working cofaces lose a working face
-        u = working_cofaces(cells)[1]
-        np.subtract.at(n_work, u, 1)
-        touched = np.zeros(n + 1, bool)
-        touched[u] = touched[rest] = True
-        return np.flatnonzero(touched & (n_work == 1) & (state == 0))
+    def retire(cells):  # working cofaces lose a working face
+        np.subtract.at(n_work, working_cofaces(cells)[1], 1)
 
     def spread(s, x, v):
         # adds row (u, x, d(u)[s] * v) for each working coface u of each s,
@@ -168,12 +164,12 @@ def _morse_core(c: Complex, excluded) -> list[dict]:
         w = np.add.reduceat(w[order], np.flatnonzero(first))
         return k[first][w != 0], w[w != 0]
 
-    cand = np.flatnonzero((state == 0) & (n_work == 1))
-    while len(cand) or (state == 0).any():
+    while (state == 0).any():
+        cand = np.flatnonzero((state == 0) & (n_work == 1))
         if not len(cand):
             aces = _component_minima(table, state == 0)
             state[aces] = 1
-            cand = retire(aces, aces[:0])
+            retire(aces)
             # a vertex ace is the only critical vertex of its component and
             # every vertex there reduces to it, so its coefficient in each
             # Morse boundary is the sum of an edge's boundary coefficients, 0
@@ -188,7 +184,7 @@ def _morse_core(c: Complex, excluded) -> list[dict]:
         keep = (least[f] == cand) & (least[cand] == n)
         t, f = cand[keep], f[keep]
         state[t], state[f], mate[t] = 3, 2, f
-        cand = retire(np.concatenate((t, f)), cand)
+        retire(np.concatenate((t, f)))
         # each row (t, x, v) of a paired cell moves to the working cofaces u
         # of its face f as (u, x, -d(t)[f] * d(u)[f] * v)
         moved = np.flatnonzero(state[key // (n + 1)] == 3)
