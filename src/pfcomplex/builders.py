@@ -25,7 +25,6 @@ import numpy as np
 from .complexes import (
     Complex,
     QuotientDegeneracyError,
-    _UnionFind,
     build_complex,
     canonical_simplex,
     collapse_core,
@@ -33,7 +32,7 @@ from .complexes import (
     faces_of,
     free_faces,
 )
-from .homology import RING_GF2, RING_Z, betti, solid_chain_check
+from .homology import RING_GF2, RING_Z, _component_minima, betti, solid_chain_check
 from .metric import (
     EPS_LEN,
     MetricComplex,
@@ -58,6 +57,8 @@ _GCIFY_ROUNDS = 6  # midpoint subdivisions before gcify gives up
 
 def simplex_complex(dim: int) -> MetricComplex:
     """The solid dim-simplex with unit edges."""
+    if dim < 0:
+        raise PfcError(f"simplex dimension must be >= 0, got {dim}")
     c = build_complex([tuple(range(dim + 1))], name=f"delta{dim}")
     return MetricComplex(c, dict.fromkeys(c.k_simplices(1), 1.0))
 
@@ -644,7 +645,8 @@ def gcify(mc: MetricComplex) -> GcifyResult:
             break
         glued, applied = _apply_batch(work, _identification_batch(work, frees))
         if applied:
-            added += _loop_count(work.complex, applied)
+            # a pair joining two components merges them; any other adds a loop
+            added += len(applied) - _components(work.complex) + _components(glued.complex)
             work, identified = glued, True
             continue
         if identified:
@@ -679,13 +681,9 @@ def _apply_batch(work, batch):
     return work, []
 
 
-def _loop_count(c: Complex, pairs) -> int:
-    """How many of the pairs, applied in order to c, identify two simplices
-    already in one component; every other pair merges two components."""
-    parts = _UnionFind()
-    for u, v in c.k_simplices(1):
-        parts.union(u, v)
-    return sum(not parts.union(*next(iter(vmap.items()))) for _, _, vmap in pairs)
+def _components(c: Complex) -> int:
+    """Number of connected components: those of the 1-skeleton, the least cell ids."""
+    return len(_component_minima(c.index.faces, np.arange(len(c) + 1) < c.index.offsets[:3][-1]))
 
 
 def _identification_batch(mc: MetricComplex, frees):
@@ -710,11 +708,15 @@ def _identification_batch(mc: MetricComplex, frees):
     as they are not adjacent), and they are a face of fa and its declared
     image in fb.
     """
-    nbrs = {v: {x for e in st if len(e) == 2 for x in e if x != v}
-            for v, st in mc.complex.vertex_star.items()}
+    nbrs = {v: set() for v in mc.complex.vertices}
+    for u, v in mc.complex.k_simplices(1):
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    # rounding is monotone, so rounding each edge once keeps sorted keys
+    rounded = {e: round(l, 9) for e, l in mc.lengths.items()}
 
     def length_key(s):
-        return (len(s),) + tuple(round(l, 9) for l in sorted(mc.simplex_lengths(s)))
+        return (len(s),) + tuple(sorted(map(rounded.__getitem__, combinations(s, 2))))
 
     def pollution(s):
         return sum(len(nbrs[v]) for v in s)

@@ -63,30 +63,30 @@ def faces_of(simplex: Simplex) -> list[Simplex]:
     return out
 
 
-class CellIndex(NamedTuple):
+class CellIndex:
     """Integer ids for the cells of a complex, in (length, lex) order.
 
     The k-simplices have the ids offsets[k]:offsets[k + 1], in the order of
-    the complex's rows[k].  Row j of the int64 array faces[k] holds the face
-    ids of the j-th k-simplex, column i the face that drops vertex i
-    (boundary coefficient (-1)**i); faces[0] has no columns.
+    the complex's rows[k].  Row f of the (n + 1, dim + 1) int64 array faces
+    holds the ids of cell f's codimension-1 faces, column i the face that
+    drops vertex i (boundary coefficient (-1)**i), padded with n; row n is
+    all padding.  The coface arrays ptr and cob are built on first use.
     """
 
-    offsets: list
-    faces: tuple
+    def __init__(self, offsets: list, faces: np.ndarray):
+        self.offsets, self.faces = offsets, faces
 
-    def coface_counts(self) -> np.ndarray:
-        """Number of codimension-1 cofaces of each cell."""
-        return np.bincount(np.concatenate([f.ravel() for f in self.faces]),
-                           minlength=self.offsets[-1])
+    @cached_property
+    def ptr(self) -> np.ndarray:
+        """Coface offsets: the cofaces of cell f are cob[ptr[f]:ptr[f + 1]]."""
+        n = self.offsets[-1]
+        return np.concatenate(([0], np.bincount(self.faces.ravel(), minlength=n + 1)[:n].cumsum()))
 
-    def cofaces(self):
-        """Codimension-1 cofaces, ascending, of cell f: cob[ptr[f]:ptr[f + 1]]."""
-        owners = np.repeat(np.arange(self.offsets[-1]), np.repeat(
-            [f.shape[1] for f in self.faces], np.diff(self.offsets)))
-        face_ids = np.concatenate([f.ravel() for f in self.faces])
-        ptr = np.concatenate([[0], self.coface_counts().cumsum()])
-        return ptr, owners[np.argsort(face_ids, kind="stable")]
+    @cached_property
+    def cob(self) -> np.ndarray:
+        """Codimension-1 cofaces of every cell, ascending per cell."""
+        order = np.argsort(self.faces[:-1].ravel(), kind="stable")  # padding last
+        return order[:self.ptr[-1]] // self.faces.shape[1]
 
 
 def _row_ids(keys, ranks) -> np.ndarray:
@@ -169,13 +169,14 @@ class Complex:
         k-simplex's key, (rank of its first vertex, id of the face dropping
         it), ascends with the rows, so face ids are searches over keys."""
         rows = self.rows or (np.zeros((0, 1), np.int64),)
-        keys, faces, offsets = [rows[0][:, 0]], [rows[0][:, :0]], [0, len(rows[0])]
+        offsets = np.cumsum([0, *map(len, rows)]).tolist()
+        faces = np.full((offsets[-1] + 1, len(rows)), offsets[-1])
+        keys = [rows[0][:, 0]]
         for k, r in enumerate(rows[1:], 1):
             f = np.stack([_row_ids(keys, np.delete(r, i, axis=1)) for i in range(k + 1)], 1)
             keys.append(r[:, 0] * len(keys[-1]) + f[:, 0])
-            faces.append(f + offsets[k - 1])
-            offsets.append(offsets[k] + len(r))
-        return CellIndex(offsets, tuple(faces))
+            faces[offsets[k]:offsets[k + 1], :k + 1] = f + offsets[k - 1]
+        return CellIndex(offsets, faces)
 
     def k_simplices(self, k: int) -> list[Simplex]:
         """All k-dimensional simplices in lexicographic order (a new list)."""
@@ -188,7 +189,7 @@ class Complex:
 
     def facets(self) -> list[Simplex]:
         """Maximal simplices (those with no proper coface)."""
-        return [s for s, n in zip(self.cells, self.index.coface_counts().tolist()) if not n]
+        return list(compress(self.cells, np.diff(self.index.ptr) == 0))
 
     @cached_property
     def vertex_star(self) -> dict:
@@ -254,7 +255,7 @@ def free_faces(c: Complex) -> list[FreeFacePair]:
     least two codimension-1 cofaces, so counting those alone is sufficient.
     Pairs come out in (length, lexicographic) order of the face.
     """
-    ptr, cob = c.index.cofaces()
+    ptr, cob = c.index.ptr, c.index.cob
     free = np.flatnonzero(np.diff(ptr) == 1)
     return [FreeFacePair(c.cells[f], c.cells[t])
             for f, t in zip(free.tolist(), cob[ptr[free]].tolist())]
@@ -284,10 +285,9 @@ def collapse_core(c: Complex) -> CollapseResult:
     its unique coface, so the result is deterministic even where the core
     itself is not canonical.
     """
-    ptr, cob = (a.tolist() for a in c.index.cofaces())
-    faces = [row for f in c.index.faces for row in f.tolist()]
+    ptr, cob, faces = (a.tolist() for a in (c.index.ptr, c.index.cob, c.index.faces))
     n_co = [hi - lo for lo, hi in zip(ptr, ptr[1:])]
-    alive = bytearray(b"\x01") * len(n_co)
+    alive = bytearray(b"\x01") * len(n_co) + b"\x00"  # cell n pads the faces
     # coface counts only fall, so every free face enters the heap once, when
     # it becomes free (ids ascend, so the first list is a heap); removed cells
     # and cells left without a coface are skipped

@@ -10,13 +10,14 @@ is the rank, and the entries give the torsion.  GF(2) ranks follow by the
 universal coefficient theorem: an entry stays a unit mod 2 unless it is
 even.  To keep the torus-gluing fixtures (hundreds of thousands of cells)
 inside a desk-scale time budget, the loop runs on a Morse complex:
-coreduction (Mrozek & Batko) on integer cell ids pairs each cell that has a
-single working face with that face and carries the boundary of the
-critical cells exactly, as in Harker, Mischaikow, Mrozek & Nanda.  Numpy
-rounds pair every ready cell at once; with none ready, the least cell of
-each working component becomes critical.  Only the critical cells, usually
-as many as the Betti numbers need, are diagonalised; `betti` of example2
-(195,399 cells) takes about 0.2-0.3 s on a 2-core Xeon.
+coreduction (Mrozek & Batko), run on the face table and cofaces of the
+complex's cell index, pairs each cell that has a single working face with
+that face and carries the boundary of the critical cells exactly, as in
+Harker, Mischaikow, Mrozek & Nanda.  Numpy rounds pair every ready cell at
+once; with none ready, the least cell of each working component becomes
+critical.  Only the critical cells, usually as many as the Betti numbers
+need, are diagonalised; `betti` of example2 (195,399 cells) takes about
+0.2-0.3 s on a 2-core Xeon.
 """
 
 from __future__ import annotations
@@ -74,8 +75,8 @@ def boundary_matrix(c: Complex, k: int, ring: str = RING_Z) -> ChainMatrix:
     ring = _ring(ring)
     if k < 1 or k > max(c.dim, 1):
         raise PfcError(f"k={k} outside 1..{c.dim}")
-    cols = tuple(c.k_simplices(k))
-    faces = (c.index.faces[k] - c.index.offsets[k - 1]).tolist() if cols else []
+    cols, off = tuple(c.k_simplices(k)), c.index.offsets
+    faces = (c.index.faces[off[k]:off[k] + len(cols), :k + 1] - off[k - 1]).tolist()
     entries = {(r, j): -1 if ring == RING_Z and i % 2 else 1
                for j, row in enumerate(faces) for i, r in enumerate(row)}
     return ChainMatrix(ring, tuple(c.k_simplices(k - 1)), cols, entries)
@@ -127,15 +128,11 @@ def _morse_core(c: Complex, excluded) -> list[dict]:
     example2 (195,399 cells): 45 rounds, 8 ace rounds, about 0.2 s.
     """
     idx = c.index
-    n = idx.offsets[-1]
-    table = np.full((n + 1, len(idx.faces)), n)  # faces, padded with cell n
-    for lo, f in zip(idx.offsets, idx.faces):
-        table[lo:lo + len(f), :f.shape[1]] = f
+    n, table, ptr, cob = idx.offsets[-1], idx.faces, idx.ptr, idx.cob
     # 0 working, 1 critical, 2 paired face, excluded or cell n, 3 paired cell
     state = np.full(n + 1, 2, np.uint8)
     state[:n] = np.fromiter(map(excluded.__contains__, c.cells), bool, n) * 2 if excluded else 0
     n_work = (state[table] == 0).sum(axis=1)
-    ptr, cob = idx.cofaces()
     mate = np.zeros(n + 1, np.int64)  # a paired cell's face
     # the critical parts: rows owner * (n + 1) + critical cell, Python int values
     key, val = np.zeros(0, np.int64), np.zeros(0, object)
@@ -381,7 +378,7 @@ def solid_chain_check(j: Complex, b: Complex) -> CheckReport:
     b_triangles = {s for s in b.simplices if len(s) == 3}
     triangles = j.k_simplices(2)
     first = j.index.offsets[2] if triangles else 0
-    up = j.index.coface_counts()[first:first + len(triangles)].tolist()
+    up = np.diff(j.index.ptr)[first:first + len(triangles)].tolist()
 
     # boundary of the sum of all 3-simplices over GF(2): the triangles with
     # an odd number of 3-cofaces

@@ -510,7 +510,7 @@ def gauss_bonnet(mc: MetricComplex):
     if c.dim != 2:
         raise PfcError(f"not a surface: dimension {c.dim}")
     lo, hi = c.index.offsets[1:3]
-    for e, n in zip(c.k_simplices(1), c.index.coface_counts()[lo:hi].tolist()):
+    for e, n in zip(c.k_simplices(1), np.diff(c.index.ptr)[lo:hi].tolist()):
         if n != 2:
             raise PfcError(f"edge {e} lies in {n} triangles, expected 2")
     lhs = TWO_PI * euler_characteristic(c)

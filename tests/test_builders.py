@@ -220,6 +220,13 @@ def test_box_complex_rejects_sizes_below_1(sizes):
         box_complex(*sizes)
 
 
+@pytest.mark.parametrize("dim", [-1, -5])
+def test_simplex_complex_rejects_negative_dimensions(dim):
+    with pytest.raises(PfcError, match=f"^simplex dimension must be >= 0, got {dim}$"):
+        simplex_complex(dim)
+    assert simplex_complex(0).complex.counts() == [1]
+
+
 def test_free_group_complex_rejects_small_rank():
     with pytest.raises(PfcError, match="free group rank must be >= 2, got 1"):
         free_group_complex(1)

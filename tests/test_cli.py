@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+from pathlib import Path
 
 import pytest
 
@@ -111,7 +112,7 @@ def test_parse_rejects_bad_simplex_records(record):
 
 
 def test_fixture_example1_euler():
-    mc = parse(open(fixture("example1.pfc"), encoding="utf-8").read())
+    mc = parse(Path(fixture("example1.pfc")).read_text(encoding="utf-8"))
     assert euler_characteristic(mc.complex) == -5
 
 
@@ -288,7 +289,7 @@ def test_build_bytes_are_pinned(target, digest):
 def test_all_fixtures_round_trip():
     for name in ("example1.pfc", "example1_interfaces.pfc",
                  "house.pfc", "torus3.pfc"):
-        text = open(fixture(name), encoding="utf-8").read()
+        text = Path(fixture(name)).read_text(encoding="utf-8")
         assert serialize(parse(text)) == text
 
 

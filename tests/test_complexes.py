@@ -20,6 +20,8 @@ from pfcomplex import (
 )
 from pfcomplex.builders import _far_pairs, _simplex_pair, box_complex
 from pfcomplex.complexes import canonical_simplex, faces_of
+from pfcomplex.homology import betti
+from pfcomplex.pfcio import serialize
 
 
 def random_complex(rng, n_vertices=8, n_generators=6, max_dim=3):
@@ -224,6 +226,21 @@ def test_quotients_and_unions_leave_the_cell_index_unbuilt():
     kept = [s for s in boxed.simplices if s[0] <= box.vertices[-1]]
     assert set(kept) == box.simplices
     assert {type(v) for s in kept for v in s} == {np.int64}
+
+
+def test_incidence_readers_share_one_cell_index():
+    mc = box_complex(2, 1, 1)
+    c = mc.complex
+    serialize(mc)  # facets read the coface counts alone, so nothing is sorted
+    assert "cob" not in vars(c.index)
+    free_faces(c)
+    idx = c.index
+    arrays = idx.faces, idx.ptr, idx.cob
+    collapse_core(c)
+    betti(c)
+    c.facets()
+    assert c.index is idx
+    assert all(a is b for a, b in zip((idx.faces, idx.ptr, idx.cob), arrays))
 
 
 def test_disjoint_union_keeps_vertex_ids_below_2_63():

@@ -940,3 +940,12 @@ def test_incidence_queries_match_brute_force_scans():
               for s in ordered}
         assert [tuple(p) for p in free_faces(c)] == \
             [(s, ts[0]) for s, ts in up.items() if len(ts) == 1]
+        # the cell index: drop-vertex faces padded with n, ascending cofaces
+        idx, pos, n = c.index, {s: i for i, s in enumerate(ordered)}, len(ordered)
+        assert idx.faces.shape == (n + 1, max(c.dim, 0) + 1)
+        for f, s in enumerate(ordered + [()]):
+            drops = [pos[s[:i] + s[i + 1:]] for i in range(len(s))] if len(s) > 1 else []
+            assert idx.faces[f].tolist() == drops + [n] * (idx.faces.shape[1] - len(drops))
+        assert idx.ptr.tolist() == [0, *itertools.accumulate(len(up[s]) for s in ordered)]
+        for f, s in enumerate(ordered):
+            assert idx.cob[idx.ptr[f]:idx.ptr[f + 1]].tolist() == [pos[t] for t in up[s]]
