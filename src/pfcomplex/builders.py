@@ -638,15 +638,17 @@ def gcify(mc: MetricComplex) -> GcifyResult:
     increased by exactly the reported count and zeroth rank decreased by
     the merges.
     """
-    work, added, rounds, identified = mc, 0, 0, False
+    work, added, rounds, identified, b0 = mc, 0, 0, False, None
     while True:
         frees = free_faces(work.complex)
         if not frees:
             break
         glued, applied = _apply_batch(work, _identification_batch(work, frees))
         if applied:
-            # a pair joining two components merges them; any other adds a loop
-            added += len(applied) - _components(work.complex) + _components(glued.complex)
+            # a pair joining two components merges them; any other adds a
+            # loop.  Collapses and subdivisions keep the component count.
+            before, b0 = b0 or _components(work.complex), _components(glued.complex)
+            added += len(applied) - before + b0
             work, identified = glued, True
             continue
         if identified:

@@ -7,8 +7,10 @@ patterns).  Vertex and edge links become weighted multigraphs whose arc
 weights are corner and dihedral angles; the nonpositive-curvature condition
 for 2-complexes is "no vertex link has an injective loop shorter than 2*pi",
 and geodesic extendability additionally needs every link point to see some
-other link point at distance at least pi.  Dihedral angles and link
-eccentricities are memoised on their exact inputs (see the README).
+other link point at distance at least pi.  Links are slices of one table
+per complex, each angle computed once per distinct row of edge lengths;
+dihedral angles, link eccentricities and shortest cycles are memoised on
+their exact inputs (see the README).
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ EPS_ANG = 1e-9     # tolerance on angle comparisons
 EPS_GB = 1e-6      # absolute tolerance on the Gauss-Bonnet identity
 EPS_LEN = 1e-9     # relative tolerance when identified edges must be isometric
 DEFAULT_DELTA = 1e-3
+_ECC_BLOCK = 1 << 12  # entries per block of min_eccentricity's rows
 
 TWO_PI = 2.0 * math.pi
 
@@ -56,6 +59,7 @@ class MetricComplex:
     lengths: dict = field(compare=False)
     _dihedrals: dict = field(default_factory=dict, init=False, repr=False,
                              compare=False)
+    _links: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def length(self, u: int, v: int) -> float:
         try:
@@ -194,10 +198,7 @@ def validate_metric(mc: MetricComplex) -> None:
 
 def angle_sum_at_vertex(mc: MetricComplex, v: int) -> float:
     """Total corner angle over all triangles containing the vertex."""
-    total = 0.0
-    for arc in _link_walk(mc, (v,))[1]:
-        total += arc.weight
-    return total
+    return sum((arc.weight for arc in _link_walk(mc, (v,))[1]), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -234,24 +235,64 @@ class MetricGraph:
         return sum(a.weight for a in self.arcs)
 
 
+def _link_table(mc: MetricComplex, d: int) -> tuple:
+    """The links of every vertex (d = 1) or edge (d = 2), cached on mc and
+    built in one numpy pass over the rows: a dict giving each its id; for
+    its d-, (d + 1)- and (d + 2)-cofaces (nodes, arcs, higher), CSR offsets,
+    cell ids in open_star's order and their other vertices' ranks; a code
+    per arc for the lengths its angle reads; the angles so far, by code."""
+    if d not in mc._links:
+        c, n = mc.complex, len(mc.complex.vertices)
+        owners, edges = c.k_simplices(d - 1), c.k_simplices(1)
+        keys = c.rows[1][:, 0] * n + c.rows[1][:, 1] if edges else np.zeros(0, np.int64)
+        # lengths by the rank of their float value; missing ones rank as nan
+        lcode = np.unique([mc.lengths.get(e, math.nan) for e in edges], return_inverse=True)[1]
+        base, parts = int(lcode.max(initial=0)) + 1, []
+        for m in range(d, d + 3):
+            rows = c.rows[m] if m <= c.dim else np.zeros((0, m + 1), np.int64)
+            # each cell once per (d - 1)-face, its vertices reordered face first
+            combos = [keep + tuple(i for i in range(m + 1) if i not in keep)
+                      for keep in combinations(range(m + 1), d)]
+            pairs = {p: k for k, p in enumerate(combinations(range(m + 1), 2))}
+            ends = rows[:, [*pairs]]
+            eids = np.searchsorted(keys, ends[..., 0] * n + ends[..., 1])  # edges of the pairs
+            owner = (rows[:, [k[0] for k in combos]] if d == 1
+                     else eids[:, [pairs[k[:2]] for k in combos]]).ravel()
+            order = np.argsort(owner, kind="stable")  # cells ascend per owner
+            parts.append((np.concatenate(([0], np.bincount(owner, minlength=len(owners)).cumsum())),
+                          order // len(combos) + sum(map(len, c.rows[:m])),
+                          rows[:, combos].reshape(-1, m + 1)[order, d:]))
+            if m == d + 1:  # mixed radix, made dense before it could overflow
+                read = [[pairs[tuple(sorted(p))] for p in combinations(k, 2)] for k in combos]
+                code = np.zeros(len(order), np.int64)
+                for col in lcode[eids[:, read]].reshape(-1, len(pairs))[order].T:
+                    if code.max(initial=0) >= 2**62 // base:
+                        code = np.unique(code, return_inverse=True)[1]
+                    code = code * base + col
+        mc._links[d] = dict(zip(owners, range(len(owners)))), parts, code, {}
+    return mc._links[d]
+
+
 def _link_walk(mc: MetricComplex, s):
     """Nodes, arcs and higher cofaces of the link of a vertex or an edge s,
-    in one pass over its open star: nodes are labelled by their vertex outside
-    s, arcs weighted by their angle at s (corner or dihedral angle)."""
-    s, *cofaces = mc.complex.open_star(s)
-    nodes, arcs, higher = [], [], []
-    for t in cofaces:
-        rest = [x for x in t if x not in s]
-        if len(rest) == 1:
-            nodes.append(rest[0])
-        elif len(rest) > 2:
-            higher.append(t)
-        else:
-            (a, b), v = rest, s[0]
-            angle = (dihedral_angle(mc, t, s) if len(s) == 2 else corner_angle(
-                mc.length(v, a), mc.length(v, b), mc.length(a, b)))
-            arcs.append(Arc(a, b, angle, tag=t))
-    return nodes, arcs, higher
+    sliced from the link table: nodes labelled by their vertex outside s,
+    arcs weighted by their angle at s, computed on the first arc whose code
+    needs it; an angle that raises is never stored, so it raises again."""
+    row, ((nptr, _, nodes), (aptr, cell, ranks), (hptr, higher, _)), code, angles = \
+        _link_table(mc, len(s))
+    i = row[s] if s in row else mc.complex.open_star(s)  # which raises for s
+    verts, cells, lo, hi = mc.complex.vertices, mc.complex.cells, aptr[i], aptr[i + 1]
+    tags, codes = [cells[x] for x in cell[lo:hi].tolist()], code[lo:hi].tolist()
+    weights = list(map(angles.get, codes))
+    for j, w in enumerate(weights):
+        if w is None:
+            (a, b), v, t = [x for x in tags[j] if x not in s], s[0], tags[j]
+            weights[j] = angles[codes[j]] = dihedral_angle(mc, t, s) if len(s) == 2 else \
+                corner_angle(mc.length(v, a), mc.length(v, b), mc.length(a, b))
+    arcs = list(map(Arc, *([verts[x] for x in col] for col in ranks[lo:hi].T.tolist()),
+                    weights, tags))
+    return ([verts[x] for x in nodes[nptr[i]:nptr[i + 1], 0].tolist()], arcs,
+            [cells[x] for x in higher[hptr[i]:hptr[i + 1]].tolist()])
 
 
 def _link_graph(mc: MetricComplex, s) -> MetricGraph:
@@ -383,24 +424,37 @@ def min_eccentricity(g: MetricGraph, delta: float = DEFAULT_DELTA) -> Eccentrici
         return EccentricityBounds(0.0, 0.0)
 
     dist = np.array([[row[m] for m in g.nodes] for row in rows])
+    del rows  # the distance dicts outweigh a block of grid rows
     index = {n: i for i, n in enumerate(g.nodes)}
     p_idx = np.array([index[a.u] for a in g.arcs])
     q_idx = np.array([index[a.v] for a in g.arcs])
     z_arr = np.array([a.weight for a in g.arcs])
 
-    best = math.inf
-    for ai, (p, q, w) in enumerate(zip(p_idx.tolist(), q_idx.tolist(), z_arr.tolist())):
-        du, dv = dist[p], dist[q]
-        cuts = (w + dv - du) / 2.0
-        t = np.array(sorted({0.0, w, w / 2.0, *cuts[(0.0 < cuts) & (cuts < w)].tolist()}))
+    # each arc's grid: 0, w, w/2 and the cuts inside (0, w), sorted, distinct
+    z = z_arr[:, None]
+    cuts = (z + dist[q_idx] - dist[p_idx]) / 2.0
+    cuts[(cuts <= 0.0) | (cuts >= z)] = 0.0
+    grid = np.sort(np.concatenate([np.zeros_like(z), z, z / 2.0, cuts], axis=1), axis=1)
+    new = np.diff(grid, axis=1, prepend=-1.0) != 0.0
+    arc_of, t_all = np.nonzero(new)[0], grid[new]
+
+    # whole arcs per block, closed before an arc that would pass _ECC_BLOCK
+    best, width, lo = math.inf, len(g.nodes) + len(g.arcs), 0
+    stops = np.cumsum(new.sum(axis=1)).tolist()
+    for stop, after in zip(stops, stops[1:] + [None]):
+        if after is not None and (after - lo) * width <= _ECC_BLOCK:
+            continue
+        t, ai, lo = t_all[lo:stop], arc_of[lo:stop], stop
+        w = z_arr[ai]
         # one row per grid point: node terms, then far points of the arcs
-        f = np.minimum(t[:, None] + du, (w - t[:, None]) + dv)
+        f = np.minimum(t[:, None] + dist[p_idx[ai]], (w - t)[:, None] + dist[q_idx[ai]])
         over_arcs = (f[:, p_idx] + f[:, q_idx] + z_arr) / 2.0
-        over_arcs[:, ai] = np.maximum(t, w - t)
+        over_arcs[np.arange(len(t)), ai] = np.maximum(t, w - t)
         v = np.concatenate([f, over_arcs], axis=1)
         best = min(best, float(v.max(axis=1).min()))
 
-        # one row per segment; those shorter than 1e-14 are never crossed
+        # one row per pair of consecutive points; a pair shorter than 1e-14
+        # is never crossed, nor one spanning two arcs, where dt = -w < 0
         dt, v1, t1 = np.diff(t), v[:-1], t[:-1, None]
         slope = np.diff(v, axis=0) / dt[:, None]
         rising, falling = slope > 0.5, slope < -0.5
@@ -412,7 +466,6 @@ def min_eccentricity(g: MetricGraph, delta: float = DEFAULT_DELTA) -> Eccentrici
                             np.where(rising | falling, -np.inf, v1).max(axis=1))
         crossed = (dt >= 1e-14) & (t[:-1] < t_star) & (t_star < t[1:])
         best = min(best, float(e_star[crossed].min(initial=math.inf)))
-
     return EccentricityBounds(best, best)
 
 
@@ -420,15 +473,35 @@ def min_eccentricity(g: MetricGraph, delta: float = DEFAULT_DELTA) -> Eccentrici
 # curvature and completeness certificates
 
 
+def _rank_key(g: MetricGraph):
+    """A link's memo key, each node replaced by its rank among the nodes,
+    and its nodes in rank order.  Ranks compare as the labels do, so
+    _dijkstra breaks every heap tie the same way: the same floats result."""
+    labels = sorted(g.nodes)
+    rank = dict(zip(labels, range(len(labels))))
+    return (tuple(map(rank.__getitem__, g.nodes)),
+            tuple((rank[a.u], rank[a.v], a.weight) for a in g.arcs)), labels
+
+
+def _memo_shortest_cycle(memo: dict, g: MetricGraph):
+    """shortest_cycle(g) memoised on g's rank key, the cycle kept in ranks."""
+    key, labels = _rank_key(g)
+    if key not in memo:
+        length, cycle = shortest_cycle(g)
+        memo[key] = length, cycle and tuple(map(labels.index, cycle))
+    length, cycle = memo[key]
+    return length, cycle and tuple(map(labels.__getitem__, cycle))
+
+
 def cat0_two_complex_check(mc: MetricComplex) -> CheckReport:
     """Link condition for 2-complexes: every vertex link has girth >= 2*pi."""
     if mc.complex.dim > 2:
         raise PfcError(
             f"link condition check requires dim <= 2, got {mc.complex.dim}")
-    items = []
+    items, memo = [], {}
     ok = True
     for v in mc.complex.vertices:
-        length, cycle = shortest_cycle(vertex_link_graph(mc, v))
+        length, cycle = _memo_shortest_cycle(memo, vertex_link_graph(mc, v))
         bad = length < TWO_PI - EPS_ANG
         ok = ok and not bad
         items.append(CheckItem(f"vertex {v}", length, TWO_PI,
@@ -448,9 +521,9 @@ def npc_edge_link_check(mc: MetricComplex) -> CheckReport:
     if mc.complex.dim > 3:
         raise PfcError(
             f"edge link check requires dim <= 3, got {mc.complex.dim}")
-    items = []
+    items, memo = [], {}
     for e in mc.complex.k_simplices(1):
-        length, cycle = shortest_cycle(edge_link_graph(mc, e))
+        length, cycle = _memo_shortest_cycle(memo, edge_link_graph(mc, e))
         if length < TWO_PI - EPS_ANG:
             items.append(CheckItem(f"edge {e}", length, TWO_PI, witness=cycle))
     meta = {"necessary_conditions_only": True,
@@ -483,17 +556,13 @@ def extendability_check(mc: MetricComplex) -> CheckReport:
     faces = free_face_check(mc.complex)
     items = list(faces.items)
     ok = faces.verdict == PASS
-    memo = {}  # keyed by the rank-relabelled link; ranks keep every tie-break
+    memo = {}
     for v in mc.complex.vertices:
         g = vertex_link_graph(mc, v)
         if not g.nodes:
             continue  # isolated vertex: already reported as a free situation
-        rank = {n: i for i, n in enumerate(sorted(g.nodes))}
-        key = (tuple(rank[n] for n in g.nodes),
-               tuple((rank[a.u], rank[a.v], a.weight) for a in g.arcs))
-        if key not in memo:
-            memo[key] = min_eccentricity(g)
-        ecc = memo[key]
+        key = _rank_key(g)[0]
+        ecc = memo[key] if key in memo else memo.setdefault(key, min_eccentricity(g))
         bad = ecc.lo < math.pi - EPS_ANG
         ok = ok and not bad
         items.append(CheckItem(f"vertex {v}", ecc.lo, math.pi,

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import re
+import tracemalloc
 from itertools import combinations
 from pathlib import Path
 
@@ -52,6 +53,7 @@ from pfcomplex.metric import (
     EPS_CM,
     _adjacency,
     _dijkstra,
+    _link_walk,
     angle_sum_at_vertex,
 )
 
@@ -608,6 +610,24 @@ def test_min_ecc_rejects_bad_resolution():
             min_eccentricity(MetricGraph((0, 1), (Arc(0, 1, 1.0),)), delta=bad)
 
 
+def test_min_ecc_memory_is_bounded_in_blocks():
+    """The rows of all arcs of a link are evaluated in blocks of bounded
+    size, so the 72-arc link of genus_surface(6) peaks below 512 KB of
+    traced allocations (321 KB; 2.9 MB with one block for the link)."""
+    mc = genus_surface(6)
+    g = max((vertex_link_graph(mc, v) for v in mc.complex.vertices),
+            key=lambda g: len(g.arcs))
+    assert len(g.arcs) == 72
+    expected = min_eccentricity(g)
+    tracemalloc.start()
+    try:
+        assert min_eccentricity(g) == expected
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 512 * 1024
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_metric_graph_rejects_non_finite_weights(bad):
     with pytest.raises(PfcError, match=f"non-finite arc weight {bad}"):
@@ -658,9 +678,10 @@ def test_min_ecc_equals_detour_search_oracle():
 
 
 # --- memoised link computations against fresh ones ------------------------
-# The two oracles are the check loops as they were before dihedral angles
-# and eccentricities were memoised: every dihedral angle is computed on a
-# fresh MetricComplex, and every link gets its own min_eccentricity call.
+# The three oracles are the check loops as they were before dihedral angles,
+# eccentricities and shortest cycles were memoised: every dihedral angle is
+# computed on a fresh MetricComplex, and every link gets its own
+# min_eccentricity or shortest_cycle call.
 
 def npc_edge_link_check_oracle(mc: MetricComplex) -> CheckReport:
     items = []
@@ -704,6 +725,19 @@ def extendability_check_oracle(mc: MetricComplex) -> CheckReport:
     return CheckReport("pass" if ok else "fail", tuple(items), meta)
 
 
+def cat0_two_complex_check_oracle(mc: MetricComplex) -> CheckReport:
+    items = []
+    ok = True
+    for v in mc.complex.vertices:
+        length, cycle = shortest_cycle(vertex_link_graph(mc, v))
+        bad = length < TWO_PI - EPS_ANG
+        ok = ok and not bad
+        items.append(CheckItem(f"vertex {v}", length, TWO_PI,
+                               witness=cycle if bad else None))
+    meta = {"condition": "girth(link(v)) >= 2*pi for every vertex v"}
+    return CheckReport("pass" if ok else "fail", tuple(items), meta)
+
+
 def relabelled(mc: MetricComplex, seed: int) -> MetricComplex:
     """The same metric complex with its vertex ids shuffled."""
     vs = mc.complex.vertices
@@ -716,17 +750,30 @@ def relabelled(mc: MetricComplex, seed: int) -> MetricComplex:
 @pytest.mark.parametrize("seed", [None, 7])
 def test_memoised_checks_equal_fresh_computations(seed):
     """Whole reports are `==` with and without the memos, at identity labels
-    and under a vertex permutation, where equal links carry other labels."""
+    and under a vertex permutation, where equal links carry other labels;
+    the shortest-cycle memo maps each witness back to its link's labels."""
     example1 = parse(EXAMPLE1.read_text(encoding="utf-8"))
     surfaces = [free_group_complex(8), free_group_complex(20),
                 genus_surface(6), flat_torus2(3)]
+    interfaces = example1_interface_complex()
+    c = build_complex(combinations(range(5), 4))  # boundary of the 4-simplex
+    sphere = MetricComplex(c, {e: 1.0 for e in c.k_simplices(1)})
     if seed is not None:
-        example1 = relabelled(example1, seed)
+        example1, interfaces, sphere = (relabelled(mc, seed) for mc in (example1, interfaces, sphere))
         surfaces = [relabelled(mc, seed) for mc in surfaces]
     assert npc_edge_link_check(example1) == \
         npc_edge_link_check_oracle(example1)
     for mc in surfaces:
         assert extendability_check(mc) == extendability_check_oracle(mc)
+        assert cat0_two_complex_check(mc) == cat0_two_complex_check_oracle(mc)
+    # witnesses come back in each link's own labels
+    rep = cat0_two_complex_check(interfaces)
+    assert rep == cat0_two_complex_check_oracle(interfaces)
+    assert [i.witness for i in rep.items if i.witness] == \
+        [(1, 3, 2) if seed is None else (0, 3, 1)]
+    rep = npc_edge_link_check(sphere)
+    assert rep == npc_edge_link_check_oracle(sphere)
+    assert len(rep.items) == 10 and all(i.witness for i in rep.items)
 
 
 def test_degenerate_dihedrals_are_never_memoised():
@@ -874,20 +921,25 @@ def test_constructed_complexes_are_realizable():
 
 # --- incidence queries against whole-complex scans --------------------------
 
-def test_incidence_queries_match_brute_force_scans():
-    """Stars, links, link graphs, angle sums, facets and free faces of
-    random complexes with unit edges equal scans of every simplex."""
+def random_generator_lists():
+    """121 generator lists: 100 random ones on 7 vertices, 20 of them again
+    on sparse ids below 2**62 in a shuffled order, and the empty one."""
     rng = random.Random(2026)
-    corner, dihedral = math.acos(0.5), math.acos(1.0 / 3.0)
     cases = [[tuple(rng.sample(range(7), rng.randint(1, 4)))
               for _ in range(rng.randint(2, 7))] for _ in range(100)]
-    # sparse ids below 2**62, in a shuffled order, and the empty complex
     relabel = random.Random(9)
     for gens in cases[:20]:
         big = relabel.sample(range(2**62), 7)
         cases.append([tuple(big[v] for v in g) for g in gens])
     cases.append([])
-    for gens in cases:
+    return cases
+
+
+def test_incidence_queries_match_brute_force_scans():
+    """Stars, links, link graphs, angle sums, facets and free faces of
+    random complexes with unit edges equal scans of every simplex."""
+    corner, dihedral = math.acos(0.5), math.acos(1.0 / 3.0)
+    for gens in random_generator_lists():
         c = build_complex(gens)
         mc = MetricComplex(c, {e: 1.0 for e in c.k_simplices(1)})
         ordered = sorted(c.simplices, key=lambda s: (len(s), s))
@@ -949,3 +1001,96 @@ def test_incidence_queries_match_brute_force_scans():
         assert idx.ptr.tolist() == [0, *itertools.accumulate(len(up[s]) for s in ordered)]
         for f, s in enumerate(ordered):
             assert idx.cob[idx.ptr[f]:idx.ptr[f + 1]].tolist() == [pos[t] for t in up[s]]
+
+
+# --- the link table against a walk over each open star ----------------------
+
+def open_star_walk(mc: MetricComplex, s):
+    """The link walk as it was before the link table: one pass over
+    Complex.open_star and one scalar call per arc, each dihedral angle on a
+    fresh MetricComplex."""
+    s, *cofaces = mc.complex.open_star(s)
+    nodes, arcs, higher = [], [], []
+    for t in cofaces:
+        rest = [x for x in t if x not in s]
+        if len(rest) == 1:
+            nodes.append(rest[0])
+        elif len(rest) > 2:
+            higher.append(t)
+        elif len(s) == 2:
+            fresh = MetricComplex(mc.complex, mc.lengths)
+            arcs.append(Arc(*rest, dihedral_angle(fresh, t, s), tag=t))
+        else:
+            (a, b), v = rest, s[0]
+            arcs.append(Arc(a, b, corner_angle(mc.length(v, a), mc.length(v, b),
+                                               mc.length(a, b)), tag=t))
+    return nodes, arcs, higher
+
+
+def walk_outcome(walk, mc, s):
+    """Nodes, (u, v, weight bits, tag) of every arc and higher cofaces, or
+    the error raised."""
+    try:
+        nodes, arcs, higher = walk(mc, s)
+    except Exception as e:
+        return type(e), str(e)
+    return nodes, [(a.u, a.v, a.weight.hex(), a.tag) for a in arcs], higher
+
+
+def assert_links_match_open_star_walks(mc):
+    c = mc.complex
+    for s in [(v,) for v in c.vertices] + c.k_simplices(1):
+        want = walk_outcome(open_star_walk, mc, s)
+        assert walk_outcome(_link_walk, mc, s) == want, s
+        graph = vertex_link_graph if len(s) == 1 else edge_link_graph
+        if isinstance(want[0], type):
+            with pytest.raises(want[0], match=re.escape(want[1])):
+                graph(mc, *s) if len(s) == 1 else graph(mc, s)
+        elif want[2]:
+            kind, at = ("vertex", s[0]) if len(s) == 1 else ("edge", s)
+            with pytest.raises(PfcError, match=re.escape(f"{kind} {at} lies in {want[2][0]};")):
+                graph(mc, *s) if len(s) == 1 else graph(mc, s)
+
+
+def test_link_table_equals_open_star_walks():
+    """Node order, arc order, tags, weight bits and errors of every vertex and
+    edge link of the random complexes, with lengths drawn from three values
+    so that arcs share angles, equal those of a walk over the open star."""
+    rng = random.Random(31)
+    for gens in random_generator_lists():
+        c = build_complex(gens)
+        mc = MetricComplex(c, {e: rng.choice((1.0, 1.2, 1.4)) for e in c.k_simplices(1)})
+        assert_links_match_open_star_walks(mc)
+        for s in [(99,), (0, 99), tuple((c.vertices or [0])[:1] * 2)]:
+            want = walk_outcome(open_star_walk, mc, s)
+            assert want[0] is PfcError
+            assert walk_outcome(_link_walk, mc, s) == want
+
+
+def test_links_holding_a_bad_arc_raise_and_no_other():
+    """A missing length fails the three vertex links of its triangle and a
+    degenerate tetrahedron the edge links of its dihedral, each with the
+    walk's own message; every other link is built as before."""
+    c = build_complex([(0, 1, 2), (0, 2, 3), (3, 4, 5)])
+    lengths = {e: 1.0 for e in c.k_simplices(1) if e != (1, 2)}
+    mc = MetricComplex(c, lengths)
+    assert_links_match_open_star_walks(mc)
+    for v in c.vertices:
+        if v in (0, 1, 2):
+            with pytest.raises(MetricError, match=re.escape("edge (1, 2) has no length")):
+                vertex_link_graph(mc, v)
+        else:
+            assert vertex_link_graph(mc, v).arcs
+
+    # vertex 2 sits on vertex 0 and vertex 6 on vertex 4: both dihedrals
+    # read one degenerate sextuple, and each raises for its own tetrahedron
+    c = build_complex([(0, 1, 2, 3), (4, 5, 6, 7), (8, 9, 10, 11)])
+    lengths = {e: 1.0 for e in c.k_simplices(1)}
+    lengths[(0, 2)] = lengths[(4, 6)] = 0.0
+    mc = MetricComplex(c, lengths)
+    for tet, e in [((0, 1, 2, 3), (0, 1)), ((4, 5, 6, 7), (4, 5)), ((0, 1, 2, 3), (0, 1))]:
+        with pytest.raises(MetricError, match=re.escape(f"degenerate dihedral in {tet} along {e}")):
+            edge_link_graph(mc, e)
+    unit = dihedral_angle(simplex_complex(3), (0, 1, 2, 3), (0, 1))
+    assert [a.weight for a in edge_link_graph(mc, (8, 9)).arcs] == [unit]
+    assert_links_match_open_star_walks(mc)
