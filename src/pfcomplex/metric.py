@@ -261,14 +261,14 @@ def _link_table(mc: MetricComplex, d: int) -> tuple:
             order = np.argsort(owner, kind="stable")  # cells ascend per owner
             parts.append((np.concatenate(([0], np.bincount(owner, minlength=len(owners)).cumsum())),
                           order // len(combos) + sum(map(len, c.rows[:m])),
-                          rows[:, combos].reshape(-1, m + 1)[order, d:]))
+                          rows[:, [k[d:] for k in combos]].reshape(-1, m + 1 - d)[order]))
             if m == d + 1:  # mixed radix, made dense before it could overflow
-                read = [[pairs[tuple(sorted(p))] for p in combinations(k, 2)] for k in combos]
                 code = np.zeros(len(order), np.int64)
-                for col in lcode[eids[:, read]].reshape(-1, len(pairs))[order].T:
+                for read in zip(*([pairs[tuple(sorted(p))] for p in combinations(k, 2)]
+                                  for k in combos)):
                     if code.max(initial=0) >= 2**62 // base:
                         code = np.unique(code, return_inverse=True)[1]
-                    code = code * base + col
+                    code = code * base + lcode[eids[:, read]].ravel()[order]
         mc._links[d] = dict(zip(owners, range(len(owners)))), parts, code, {}
     return mc._links[d]
 
@@ -280,7 +280,7 @@ def _link_walk(mc: MetricComplex, s):
     needs it; an angle that raises is never stored, so it raises again."""
     row, ((nptr, _, nodes), (aptr, cell, ranks), (hptr, higher, _)), code, angles = \
         _link_table(mc, len(s))
-    i = row[s] if s in row else mc.complex.open_star(s)  # which raises for s
+    i = row[s] if s in row else mc.complex.open_star(s)  # raises: s is no simplex
     verts, cells, lo, hi = mc.complex.vertices, mc.complex.cells, aptr[i], aptr[i + 1]
     tags, codes = [cells[x] for x in cell[lo:hi].tolist()], code[lo:hi].tolist()
     weights = list(map(angles.get, codes))
