@@ -8,9 +8,7 @@ weights are corner and dihedral angles; the nonpositive-curvature condition
 for 2-complexes is "no vertex link has an injective loop shorter than 2*pi",
 and geodesic extendability additionally needs every link point to see some
 other link point at distance at least pi.  Links are slices of one table
-per complex, each angle computed once per distinct row of edge lengths;
-dihedral angles, link eccentricities and shortest cycles are memoised on
-their exact inputs (see the README).
+per complex; angles, eccentricities and cycles are memoised (see README).
 """
 
 from __future__ import annotations
@@ -269,7 +267,9 @@ def _link_table(mc: MetricComplex, d: int) -> tuple:
                     if code.max(initial=0) >= 2**62 // base:
                         code = np.unique(code, return_inverse=True)[1]
                     code = code * base + lcode[eids[:, read]].ravel()[order]
-        mc._links[d] = dict(zip(owners, range(len(owners)))), parts, code, {}
+        (nptr, _, nodes), arcs, (hptr, higher, _) = parts
+        mc._links[d] = (dict(zip(owners, range(len(owners)))), (nptr, nodes), arcs,
+                        (hptr, higher), code, {})
     return mc._links[d]
 
 
@@ -278,8 +278,7 @@ def _link_walk(mc: MetricComplex, s):
     sliced from the link table: nodes labelled by their vertex outside s,
     arcs weighted by their angle at s, computed on the first arc whose code
     needs it; an angle that raises is never stored, so it raises again."""
-    row, ((nptr, _, nodes), (aptr, cell, ranks), (hptr, higher, _)), code, angles = \
-        _link_table(mc, len(s))
+    row, (nptr, nodes), (aptr, cell, ranks), (hptr, higher), code, angles = _link_table(mc, len(s))
     i = row[s] if s in row else mc.complex.open_star(s)  # raises: s is no simplex
     verts, cells, lo, hi = mc.complex.vertices, mc.complex.cells, aptr[i], aptr[i + 1]
     tags, codes = [cells[x] for x in cell[lo:hi].tolist()], code[lo:hi].tolist()
@@ -474,13 +473,14 @@ def min_eccentricity(g: MetricGraph, delta: float = DEFAULT_DELTA) -> Eccentrici
 
 
 def _rank_key(g: MetricGraph):
-    """A link's memo key, each node replaced by its rank among the nodes,
-    and its nodes in rank order.  Ranks compare as the labels do, so
-    _dijkstra breaks every heap tie the same way: the same floats result."""
+    """A link's memo key, flat: its node count, each node's rank among the
+    nodes, then rank u, rank v and weight of each arc; and its nodes in rank
+    order.  Ranks compare as the labels do, so _dijkstra breaks every heap
+    tie the same way: the same floats result."""
     labels = sorted(g.nodes)
     rank = dict(zip(labels, range(len(labels))))
-    return (tuple(map(rank.__getitem__, g.nodes)),
-            tuple((rank[a.u], rank[a.v], a.weight) for a in g.arcs)), labels
+    return (len(labels), *map(rank.__getitem__, g.nodes),
+            *[x for a in g.arcs for x in (rank[a.u], rank[a.v], a.weight)]), labels
 
 
 def _memo_shortest_cycle(memo: dict, g: MetricGraph):
