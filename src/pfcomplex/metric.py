@@ -57,7 +57,8 @@ class MetricComplex:
     lengths: dict = field(compare=False)
     _dihedrals: dict = field(default_factory=dict, init=False, repr=False,
                              compare=False)
-    _links: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _links: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def length(self, u: int, v: int) -> float:
         try:
@@ -196,7 +197,10 @@ def validate_metric(mc: MetricComplex) -> None:
 
 def angle_sum_at_vertex(mc: MetricComplex, v: int) -> float:
     """Total corner angle over all triangles containing the vertex."""
-    return sum((arc.weight for arc in _link_walk(mc, (v,))[1]), 0.0)
+    total = 0.0
+    for arc in _link_walk(mc, (v,))[1]:
+        total += arc.weight
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -236,17 +240,17 @@ class MetricGraph:
 def _link_table(mc: MetricComplex, d: int) -> tuple:
     """The links of every vertex (d = 1) or edge (d = 2), cached on mc and
     built in one numpy pass over the rows: a dict giving each its id; for
-    its d-, (d + 1)- and (d + 2)-cofaces (nodes, arcs, higher), CSR offsets,
-    cell ids in open_star's order and their other vertices' ranks; a code
-    per arc for the lengths its angle reads; the angles so far, by code."""
+    its d- and (d + 1)-cofaces (nodes and arcs), CSR offsets, cell ids in
+    open_star's order and their other vertices' ranks; a code per arc for
+    the lengths its angle reads; and the angles so far, by code."""
     if d not in mc._links:
         c, n = mc.complex, len(mc.complex.vertices)
         owners, edges = c.k_simplices(d - 1), c.k_simplices(1)
         keys = c.rows[1][:, 0] * n + c.rows[1][:, 1] if edges else np.zeros(0, np.int64)
-        # lengths by the rank of their float value; missing ones rank as nan
-        lcode = np.unique([mc.lengths.get(e, math.nan) for e in edges], return_inverse=True)[1]
-        base, parts = int(lcode.max(initial=0)) + 1, []
-        for m in range(d, d + 3):
+        codes = {}  # lengths equal as dict keys share a code, as in the dihedral memo
+        lcode = np.array([codes.setdefault(mc.lengths.get(e), len(codes)) for e in edges], np.int64)
+        base, parts = len(codes) + 1, []
+        for m in range(d, d + 2):
             rows = c.rows[m] if m <= c.dim else np.zeros((0, m + 1), np.int64)
             # each cell once per (d - 1)-face, its vertices reordered face first
             combos = [keep + tuple(i for i in range(m + 1) if i not in keep)
@@ -267,18 +271,17 @@ def _link_table(mc: MetricComplex, d: int) -> tuple:
                     if code.max(initial=0) >= 2**62 // base:
                         code = np.unique(code, return_inverse=True)[1]
                     code = code * base + lcode[eids[:, read]].ravel()[order]
-        (nptr, _, nodes), arcs, (hptr, higher, _) = parts
-        mc._links[d] = (dict(zip(owners, range(len(owners)))), (nptr, nodes), arcs,
-                        (hptr, higher), code, {})
+        (nptr, _, nodes), arcs = parts
+        mc._links[d] = dict(zip(owners, range(len(owners)))), (nptr, nodes), arcs, code, {}
     return mc._links[d]
 
 
 def _link_walk(mc: MetricComplex, s):
-    """Nodes, arcs and higher cofaces of the link of a vertex or an edge s,
-    sliced from the link table: nodes labelled by their vertex outside s,
-    arcs weighted by their angle at s, computed on the first arc whose code
-    needs it; an angle that raises is never stored, so it raises again."""
-    row, (nptr, nodes), (aptr, cell, ranks), (hptr, higher), code, angles = _link_table(mc, len(s))
+    """Nodes and arcs of the link of a vertex or an edge s, sliced from the
+    link table: nodes labelled by their vertex outside s, arcs weighted by
+    their angle at s, computed on the first arc whose code needs it; an
+    angle that raises is never stored, so it raises again."""
+    row, (nptr, nodes), (aptr, cell, ranks), code, angles = _link_table(mc, len(s))
     i = row[s] if s in row else mc.complex.open_star(s)  # raises: s is no simplex
     verts, cells, lo, hi = mc.complex.vertices, mc.complex.cells, aptr[i], aptr[i + 1]
     tags, codes = [cells[x] for x in cell[lo:hi].tolist()], code[lo:hi].tolist()
@@ -290,12 +293,13 @@ def _link_walk(mc: MetricComplex, s):
                 corner_angle(mc.length(v, a), mc.length(v, b), mc.length(a, b))
     arcs = list(map(Arc, *([verts[x] for x in col] for col in ranks[lo:hi].T.tolist()),
                     weights, tags))
-    return ([verts[x] for x in nodes[nptr[i]:nptr[i + 1], 0].tolist()], arcs,
-            [cells[x] for x in higher[hptr[i]:hptr[i + 1]].tolist()])
+    return [verts[x] for x in nodes[nptr[i]:nptr[i + 1], 0].tolist()], arcs
 
 
 def _link_graph(mc: MetricComplex, s) -> MetricGraph:
-    nodes, arcs, higher = _link_walk(mc, s)
+    nodes, arcs = _link_walk(mc, s)
+    higher = [t for t in mc.complex.open_star(s) if len(t) > len(s) + 2] \
+        if mc.complex.dim > len(s) + 1 else []
     if higher:
         kind, at = ("vertex", s[0]) if len(s) == 1 else ("edge", s)
         raise PfcError(f"{kind} {at} lies in {higher[0]}; {kind} links are only "
@@ -562,7 +566,9 @@ def extendability_check(mc: MetricComplex) -> CheckReport:
         if not g.nodes:
             continue  # isolated vertex: already reported as a free situation
         key = _rank_key(g)[0]
-        ecc = memo[key] if key in memo else memo.setdefault(key, min_eccentricity(g))
+        if key not in memo:
+            memo[key] = min_eccentricity(g)
+        ecc = memo[key]
         bad = ecc.lo < math.pi - EPS_ANG
         ok = ok and not bad
         items.append(CheckItem(f"vertex {v}", ecc.lo, math.pi,

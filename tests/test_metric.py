@@ -759,7 +759,8 @@ def test_memoised_checks_equal_fresh_computations(seed):
     c = build_complex(combinations(range(5), 4))  # boundary of the 4-simplex
     sphere = MetricComplex(c, {e: 1.0 for e in c.k_simplices(1)})
     if seed is not None:
-        example1, interfaces, sphere = (relabelled(mc, seed) for mc in (example1, interfaces, sphere))
+        example1, interfaces, sphere = (relabelled(mc, seed)
+                                        for mc in (example1, interfaces, sphere))
         surfaces = [relabelled(mc, seed) for mc in surfaces]
     assert npc_edge_link_check(example1) == \
         npc_edge_link_check_oracle(example1)
@@ -1028,13 +1029,12 @@ def open_star_walk(mc: MetricComplex, s):
 
 
 def walk_outcome(walk, mc, s):
-    """Nodes, (u, v, weight bits, tag) of every arc and higher cofaces, or
-    the error raised."""
+    """Nodes and (u, v, weight bits, tag) of every arc, or the error raised."""
     try:
-        nodes, arcs, higher = walk(mc, s)
+        nodes, arcs, *_ = walk(mc, s)
     except Exception as e:
         return type(e), str(e)
-    return nodes, [(a.u, a.v, a.weight.hex(), a.tag) for a in arcs], higher
+    return nodes, [(a.u, a.v, a.weight.hex(), a.tag) for a in arcs]
 
 
 def assert_links_match_open_star_walks(mc):
@@ -1046,16 +1046,17 @@ def assert_links_match_open_star_walks(mc):
         if isinstance(want[0], type):
             with pytest.raises(want[0], match=re.escape(want[1])):
                 graph(mc, *s) if len(s) == 1 else graph(mc, s)
-        elif want[2]:
+        elif higher := open_star_walk(mc, s)[2]:
             kind, at = ("vertex", s[0]) if len(s) == 1 else ("edge", s)
-            with pytest.raises(PfcError, match=re.escape(f"{kind} {at} lies in {want[2][0]};")):
+            with pytest.raises(PfcError, match=re.escape(f"{kind} {at} lies in {higher[0]};")):
                 graph(mc, *s) if len(s) == 1 else graph(mc, s)
 
 
 def test_link_table_equals_open_star_walks():
     """Node order, arc order, tags, weight bits and errors of every vertex and
     edge link of the random complexes, with lengths drawn from three values
-    so that arcs share angles, equal those of a walk over the open star."""
+    so that arcs share angles, equal those of a walk over the open star,
+    and so does the error for a star above the link's dimension."""
     rng = random.Random(31)
     for gens in random_generator_lists():
         c = build_complex(gens)
@@ -1068,11 +1069,13 @@ def test_link_table_equals_open_star_walks():
 
 
 def test_links_holding_a_bad_arc_raise_and_no_other():
-    """A missing length fails the three vertex links of its triangle and a
-    degenerate tetrahedron the edge links of its dihedral, each with the
-    walk's own message; every other link is built as before."""
+    """A missing or non-numeric length fails the three vertex links of its
+    triangle and a degenerate tetrahedron the edge links of its dihedral,
+    each with the walk's own error; every other link is built as before."""
     c = build_complex([(0, 1, 2), (0, 2, 3), (3, 4, 5)])
     lengths = {e: 1.0 for e in c.k_simplices(1) if e != (1, 2)}
+    # a length that is no number fails the same links, with the scalar's own error
+    assert_links_match_open_star_walks(MetricComplex(c, {**lengths, (1, 2): None}))
     mc = MetricComplex(c, lengths)
     assert_links_match_open_star_walks(mc)
     for v in c.vertices:
