@@ -264,11 +264,12 @@ def glue_double_tori(base: MetricComplex, interfaces,
     characteristic drops by 2 per marked triangle.
     """
     marked = [canonical_simplex(t) for t in interfaces]
-    for t in marked:
-        if len(t) != 3:
-            raise PfcError(f"marked simplex {t} is not a triangle")
-        if t not in base.complex.simplices:
-            raise MetricError(f"marked triangle {t} not in the base complex")
+    # the triangles before the first non-triangle are searched before it raises
+    tri = next((i for i, t in enumerate(marked) if len(t) != 3), len(marked))
+    base.complex._ids(marked[:tri],
+                      lambda t: MetricError(f"marked triangle {t} not in the base complex"))
+    if tri < len(marked):
+        raise PfcError(f"marked simplex {marked[tri]} is not a triangle")
     if not marked:
         return base
 

@@ -178,6 +178,40 @@ class Complex:
             faces[offsets[k]:offsets[k + 1], :k + 1] = f + offsets[k - 1]
         return CellIndex(offsets, faces)
 
+    @cached_property
+    def _records(self) -> np.ndarray:
+        """Each cell as dim + 2 big-endian int64s (its length, its vertex ids,
+        -1s), then an all -1 sentinel.  Byte order is numeric order below
+        2**63, so these records ascend with the cell ids, compared by memcmp."""
+        w, ids = len(self.rows) + 1, np.array(self.vertices, np.int64)
+        out, offsets = np.full((len(self) + 1, w), -1, ">i8"), np.cumsum([0, *map(len, self.rows)])
+        for k, (lo, r) in enumerate(zip(offsets.tolist(), self.rows)):
+            out[lo:lo + len(r), 0], out[lo:lo + len(r), 1:k + 2] = k + 1, ids[r]
+        return out.view(f"V{8 * w}").ravel()
+
+    def _ids(self, simplices: list, missing) -> np.ndarray:
+        """Cell ids of the given tuples, by one search over the records;
+        raises missing(s) for the first s, in list order, that is not one."""
+        recs, flat = self._records, []
+        w = recs.itemsize // 8
+        tails = [(-1,) * (w - 1 - n) for n in range(w)]
+        for s in simplices:
+            if (n := len(s)) < w:
+                flat.append(n)
+                flat += s
+                flat += tails[n]
+            else:  # length 0 is no cell's
+                flat += (0, *tails[0])
+        q = np.array(flat)
+        if q.dtype != np.int64:  # no simplices, or a value that is no int64 and no vertex id
+            q = np.array([v if isinstance(v, (int, np.integer)) and -1 < v < 2**63 else -1
+                          for v in flat], np.int64)
+        q = q.astype(">i8").view(recs.dtype)
+        found = recs.searchsorted(q)  # at most the sentinel's position
+        if recs[found].tobytes() != q.tobytes():
+            raise missing(simplices[np.argmin(recs[found] == q)])
+        return found
+
     def k_simplices(self, k: int) -> list[Simplex]:
         """All k-dimensional simplices in lexicographic order (a new list)."""
         lo = sum(map(len, self.rows[:k]))
@@ -215,9 +249,7 @@ class Complex:
     def subcomplex(self, simplices: Iterable[Simplex], name=None) -> "Complex":
         """Face closure of a subset of this complex's simplices."""
         chosen = [canonical_simplex(s) for s in simplices]
-        for s in chosen:
-            if s not in self.simplices:
-                raise PfcError(f"{s} is not a simplex of the complex")
+        self._ids(chosen, lambda s: PfcError(f"{s} is not a simplex of the complex"))
         return build_complex(chosen, name=name)
 
 
@@ -340,20 +372,6 @@ class _UnionFind(dict):
         return ra != rb  # False if a and b were in one class already
 
 
-def _normalize_pair(c: Complex, i: int, pair) -> tuple:
-    if not isinstance(pair, Sequence) or len(pair) != 3:
-        raise PfcError(f"identification {i} is not a (source, target, map) triple")
-    source, target, vmap = pair
-    if not isinstance(vmap, Mapping):
-        raise PfcError(f"identification {i}: vertex map {vmap!r} is not a mapping")
-    src = [canonical_simplex(s) for s in source]
-    dst = [canonical_simplex(s) for s in target]
-    for s in src + dst:
-        if s not in c.simplices:
-            raise PfcError(f"identification references {s}, not in complex")
-    return tuple(src), tuple(dst), dict(vmap)
-
-
 def quotient(c: Complex, pairs: Sequence) -> QuotientResult:
     """Glue the complex along the given identification pairs.
 
@@ -369,13 +387,25 @@ def quotient(c: Complex, pairs: Sequence) -> QuotientResult:
     lexicographic) order is raised.  Vertex ids of the result are renumbered
     densely; the old-to-new map is returned alongside.
     """
-    pairs = [_normalize_pair(c, i, p) for i, p in enumerate(pairs)]
+    norm = []
+    try:  # the pairs before a malformed one are searched before it raises
+        for i, pair in enumerate(pairs):
+            if not isinstance(pair, Sequence) or len(pair) != 3:
+                raise PfcError(f"identification {i} is not a (source, target, map) triple")
+            source, target, vmap = pair
+            if not isinstance(vmap, Mapping):
+                raise PfcError(f"identification {i}: vertex map {vmap!r} is not a mapping")
+            norm.append((tuple(map(canonical_simplex, source)),
+                         tuple(map(canonical_simplex, target)), dict(vmap)))
+    finally:
+        c._ids([s for src, dst, _ in norm for s in src + dst],
+               lambda s: PfcError(f"identification references {s}, not in complex"))
     verts, cells = _UnionFind(), _UnionFind()
-    for src, dst, vmap in pairs:
+    for src, dst, vmap in norm:
         dst_set, covered = set(dst), set()
         for s in src:
             try:
-                img = tuple(sorted(vmap[v] for v in s))
+                img = tuple(sorted(map(vmap.__getitem__, s)))
             except KeyError as e:
                 raise PfcError(f"vertex {e.args[0]} of {s} has no image") from None
             if len(set(img)) != len(img):
@@ -399,14 +429,16 @@ def quotient(c: Complex, pairs: Sequence) -> QuotientResult:
         img = np.sort(new[r], axis=1)
         order = np.lexsort(img.T[::-1])
         img = img[order]
-        first = np.concatenate(([True], (img[1:] != img[:-1]).any(axis=1)))
-        # a row can fail only if it degenerates or shares its image with another
-        suspect = ((img[:, 1:] == img[:, :-1]).any(axis=1) | ~first
-                   | ~np.concatenate((first[1:], [True])))
+        # a row can fail only if it degenerates or shares its image with
+        # another; step[i] says rows i - 1 and i differ, true at either end
+        step = np.ones(len(img) + 1, bool)
+        step[1:-1] = (img[1:] != img[:-1]).any(axis=1)
+        first = step[:-1]
+        suspect = (img[:, 1:] == img[:, :-1]).any(axis=1) | ~(first & step[1:])
         images = {}  # image of a suspect -> the first suspect landing on it
-        for s in (tuple(old[j] for j in r[i].tolist())
+        for s in (tuple(map(old.__getitem__, r[i].tolist()))
                   for i in sorted(order[suspect].tolist())):
-            image = tuple(sorted({roots.get(v, v) for v in s}))
+            image = tuple(sorted(set(map(roots.get, s, s))))
             if len(image) != len(s):
                 raise QuotientDegeneracyError(
                     f"simplex {s} degenerates to {image} in the quotient", witness=s)

@@ -110,7 +110,7 @@ def _morse_core(c: Complex, excluded) -> list[dict]:
     """Critical cells left by coreduction, with their Morse boundaries.
 
     Returns one dict per dimension, critical cell id -> {face id: coeff}.
-    The cells of `excluded` are left out of the chain complex.  A working
+    The cell ids `excluded` are left out of the chain complex.  A working
     cell `t` whose boundary has one working face `f` is paired with it:
     every other coface `u` of `f` takes `d(u) -= d(u)[f] * d(t)[f] * d(t)`.
     Since the rest of `d(t)` is critical, the pivot is a unit and fill-in
@@ -130,8 +130,8 @@ def _morse_core(c: Complex, excluded) -> list[dict]:
     idx = c.index
     n, table, ptr, cob = idx.offsets[-1], idx.faces, idx.ptr, idx.cob
     # 0 working, 1 critical, 2 paired face, excluded or cell n, 3 paired cell
-    state = np.full(n + 1, 2, np.uint8)
-    state[:n] = np.fromiter(map(excluded.__contains__, c.cells), bool, n) * 2 if excluded else 0
+    state = np.zeros(n + 1, np.uint8)
+    state[excluded], state[n] = 2, 2
     n_work = (state[table] == 0).sum(axis=1)
     mate = np.zeros(n + 1, np.int64)  # a paired cell's face
     # the critical parts: rows owner * (n + 1) + critical cell, Python int values
@@ -161,10 +161,13 @@ def _morse_core(c: Complex, excluded) -> list[dict]:
         w = np.add.reduceat(w[order], np.flatnonzero(first))
         return k[first][w != 0], w[w != 0]
 
+    # with nothing excluded no cell has one working face, so the first ace
+    # round sees the whole complex, whose components are its 1-skeleton's
+    scope = np.arange(n + 1) < idx.offsets[:3][-1] if not len(excluded) else True
     while (state == 0).any():
         cand = np.flatnonzero((state == 0) & (n_work == 1))
         if not len(cand):
-            aces = _component_minima(table, state == 0)
+            aces, scope = _component_minima(table, (state == 0) & scope), True
             state[aces] = 1
             retire(aces)
             # a vertex ace is the only critical vertex of its component and
@@ -317,13 +320,8 @@ def betti(c: Complex, ring: str = RING_Z, relative_to: Complex | None = None) ->
         return BettiVector((), (), ring)
     # without a subcomplex, coreduction aces the least vertex of each
     # component, whose Morse boundary is 0, so b_0 counts the components
-    excluded = frozenset()
-    if relative_to is not None:
-        for s in relative_to.cells:
-            if s not in c.simplices:
-                raise PfcError(f"relative subcomplex contains {s}, not in complex")
-        excluded = relative_to.simplices
-
+    excluded = [] if relative_to is None else c._ids(relative_to.cells, lambda s: PfcError(
+        f"relative subcomplex contains {s}, not in complex"))
     core = _morse_core(c, excluded)
     # diagonal entries of the boundaries d_0 = 0, d_1, ..., d_dim, d_dim+1 = 0
     diags = [[]] + [_diagonal(core[k]) for k in range(1, dim + 1)] + [[]]
@@ -369,26 +367,22 @@ def solid_chain_check(j: Complex, b: Complex) -> CheckReport:
     """
     if j.dim > 3:
         raise PfcError(f"check requires dim <= 3, got {j.dim}")
-    for s in b.cells:
-        if s not in j.simplices:
-            raise PfcError(f"marked subcomplex contains {s}, not in complex")
+    marked = j._ids(b.cells, lambda s: PfcError(f"marked subcomplex contains {s}, not in complex"))
 
     tets = j.k_simplices(3)
     has_top_cell = bool(tets)
-    b_triangles = {s for s in b.simplices if len(s) == 3}
     triangles = j.k_simplices(2)
     first = j.index.offsets[2] if triangles else 0
     up = np.diff(j.index.ptr)[first:first + len(triangles)].tolist()
+    in_b = np.isin(np.arange(first, first + len(triangles)), marked).tolist()
 
     # boundary of the sum of all 3-simplices over GF(2): the triangles with
-    # an odd number of 3-cofaces
-    boundary_support = [f for f, n in zip(triangles, up) if n % 2]
-    outside = [f for f in boundary_support if f not in b_triangles]
+    # an odd number of 3-cofaces; those outside the marked subcomplex
+    outside = [f for f, n, m in zip(triangles, up, in_b) if n % 2 and not m]
     supported = not outside
 
     # 2-simplices not in the marked subcomplex need exactly two 3-cofaces
-    bad = [f for f, n in zip(triangles, up)
-           if f not in b_triangles and n != 2]
+    bad = [f for f, n, m in zip(triangles, up, in_b) if not m and n != 2]
     closed_outside = has_top_cell and not bad
 
     if j.dim >= 3:

@@ -126,12 +126,10 @@ def parse(text: str, validate: bool = True) -> MetricComplex:
     if dim_declared is not None and c.dim > dim_declared:
         raise PfcSyntaxError(
             f"simplices of dimension {c.dim} exceed declared dim {dim_declared}")
-    for e, lineno in length_line.items():
-        if e not in c.simplices:
-            raise PfcSyntaxError(f"length record for edge {e}, which is not "
-                                 f"an edge of the complex", lineno)
     mc = MetricComplex(c, lengths)
     if lengths:
+        c._ids(list(length_line), lambda e: PfcSyntaxError(
+            f"length record for edge {e}, which is not an edge of the complex", length_line[e]))
         missing = [e for e in c.k_simplices(1) if e not in lengths]
         if missing:
             raise PfcError(

@@ -13,6 +13,7 @@ import pytest
 
 from pfcomplex import (
     MetricComplex,
+    MetricError,
     PfcError,
     QuotientDegeneracyError,
     betti,
@@ -126,6 +127,14 @@ def test_glue_rejects_a_marked_simplex_that_is_not_a_triangle(marked):
     with pytest.raises(PfcError, match=re.escape(
             f"marked simplex {marked} is not a triangle")):
         glue_double_tori(simplex_complex(3), [marked])
+
+
+def test_glue_names_the_first_bad_marked_simplex():
+    base = simplex_complex(3)
+    with pytest.raises(MetricError, match=r"^marked triangle \(0, 1, 5\) not in the base complex$"):
+        glue_double_tori(base, [(0, 1, 2), (0, 1, 5), (0, 1), (0, 2, 6)])
+    with pytest.raises(PfcError, match=r"^marked simplex \(0, 1\) is not a triangle$"):
+        glue_double_tori(base, [(0, 1, 2), (0, 1), (0, 1, 5)])
 
 
 def test_double_torus_block_euler():

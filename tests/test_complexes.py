@@ -299,6 +299,26 @@ def test_quotient_validates_target_membership():
         quotient(c, [([(0,)], [(0,)], [(0, 0)])])
 
 
+def test_quotient_names_the_first_bad_pair():
+    """Pairs are checked one after another, each completely: a simplex
+    missing from the complex in one pair is named before a malformed later
+    pair, and after a malformed earlier one."""
+    c = build_complex([(0, 1, 2)])
+    missing = ([(0,)], [(9,)], {0: 9})
+    for bad, error, message in [
+            (((0,),), PfcError, r"identification 1 is not a \(source, target, map\) triple"),
+            (([(1, 1)], [(1,)], {1: 1}), PfcError, r"repeated vertex 1 in simplex \(1, 1\)"),
+            (([(0,)], [(0,)], [(0, 0)]), PfcError, r"identification 1: vertex map"),
+            ((5, [(0,)], {}), TypeError, r"not iterable")]:
+        with pytest.raises(PfcError, match=r"^identification references \(9,\), not in complex$"):
+            quotient(c, [missing, bad])
+        with pytest.raises(error, match=message.replace("identification 1", "identification 0")):
+            quotient(c, [bad, missing])
+    # within a pair, sources come before targets, each in the given order
+    with pytest.raises(PfcError, match=r"references \(7,\), not in"):
+        quotient(c, [([(0,), (7,)], [(8,), (1,)], {0: 1, 7: 8})])
+
+
 def test_facets():
     c = build_complex([(0, 1, 2), (2, 3)])
     assert c.facets() == [(2, 3), (0, 1, 2)]

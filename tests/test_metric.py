@@ -47,6 +47,7 @@ from pfcomplex import (
     validate_metric,
     vertex_link_graph,
 )
+from pfcomplex.builders import box_complex
 from pfcomplex.metric import (
     DEFAULT_DELTA,
     EPS_ANG,
@@ -1002,6 +1003,49 @@ def test_incidence_queries_match_brute_force_scans():
         assert idx.ptr.tolist() == [0, *itertools.accumulate(len(up[s]) for s in ordered)]
         for f, s in enumerate(ordered):
             assert idx.cob[idx.ptr[f]:idx.ptr[f + 1]].tolist() == [pos[t] for t in up[s]]
+
+
+class Missing(Exception):
+    pass
+
+
+def test_row_search_equals_frozenset_membership():
+    """Complex._ids finds a tuple exactly when the frozenset holds it, gives
+    its position in the (len, lex) order, and names the first query in
+    input order that is missing, on the random complexes, box_complex's
+    numpy.int64 ids and the empty complex."""
+    rng = random.Random(5)
+    complexes = [build_complex(g) for g in random_generator_lists()]
+    complexes.append(box_complex(2, 1, 1).complex)
+    for c in complexes:
+        cells, ids = list(c), list(c.vertices)
+        top = int(max(ids, default=0))
+        absent = [top + 1, top + 2**40, 2**63 - 1, 2**63, -1, -2**63 - 1, 1.5, "3"]
+        absent += [v + 1 for v in ids if v + 1 not in ids][:3]
+        pool = cells + [tuple(int(v) for v in s) for s in cells] + [(), tuple(ids)]
+        for _ in range(60):
+            k = rng.randint(1, c.dim + 3)
+            s = rng.sample(ids + absent, min(k, len(ids + absent)))
+            pool.append(tuple(s) if rng.random() < 0.2 else
+                        tuple(sorted(s, key=lambda v: (str(type(v)), v))))
+        assert [cells[i] for i in c._ids(cells + cells[::-1], Missing)] == cells + cells[::-1]
+        for s in pool:
+            if s in c.simplices:
+                assert cells[c._ids([s], Missing)[0]] == s
+            else:
+                with pytest.raises(Missing) as err:
+                    c._ids([s], Missing)
+                assert err.value.args[0] is s
+        for _ in range(20):
+            queries = rng.sample(pool, min(12, len(pool))) * 2
+            first = next((s for s in queries if s not in c.simplices), None)
+            if first is None:
+                assert [cells[i] for i in c._ids(queries, Missing)] == queries
+                continue
+            with pytest.raises(Missing) as err:
+                c._ids(queries, Missing)
+            assert err.value.args[0] is first
+    assert len(build_complex([])._ids([], Missing)) == 0
 
 
 # --- the link table against a walk over each open star ----------------------

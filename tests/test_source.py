@@ -52,3 +52,16 @@ def test_no_orphaned_private_definitions():
                and node.name.startswith("_") and not node.name.startswith("__")
                and total[node.name] == references(node)[node.name]]
     assert orphans == []
+
+
+def test_only_complex_and_midpoint_subdivision_read_the_frozenset():
+    """Batch membership is Complex._ids' row search, so no batch path
+    builds the whole complex's frozenset.  The cached `simplices` serves
+    Complex's own equality, hashing and single queries, and
+    midpoint_subdivision, whose lengths are filled in its order."""
+    allowed = {("complexes.py", "Complex"), ("builders.py", "midpoint_subdivision")}
+    readers = [f"{name}: line {n.lineno}"
+               for name, tree in parsed_modules().items() for node in tree.body
+               if (name, getattr(node, "name", None)) not in allowed
+               for n in ast.walk(node) if isinstance(n, ast.Attribute) and n.attr == "simplices"]
+    assert readers == []
