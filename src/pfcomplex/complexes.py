@@ -13,6 +13,7 @@ reports are reproducible byte for byte.
 from __future__ import annotations
 
 import heapq
+from contextlib import suppress
 from functools import cached_property
 from itertools import chain, combinations, compress
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -253,15 +254,62 @@ class Complex:
         return build_complex(chosen, name=name)
 
 
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of a 1-D array: np.unique without its
+    wrapper, whose cost dominates on small arrays."""
+    a = np.sort(a)
+    step = np.empty(len(a), bool)
+    step[:1] = True
+    np.not_equal(a[1:], a[:-1], out=step[1:])
+    return a[step]
+
+
+def _closure(arity: list, vals: np.ndarray):
+    """The face closure of generators of arity[i] vertices each, whose ids,
+    in order, are the int64s vals: the sorted distinct ids and the sorted
+    rows of their ranks per dimension; None if an id is negative or a
+    generator repeats one.  A k-face's key is the rank of its first vertex
+    times the count of (k - 1)-faces plus the id there of the face dropping
+    it, as in Complex.index, so keys ascend with the rows and cannot
+    overflow."""
+    arity = np.array(arity, np.int64)
+    verts = _distinct(vals)
+    n, top = len(verts), arity.max(initial=0)
+    pad = np.full((len(arity), top), n)  # each generator's ranks, ascending, then n
+    pad[np.arange(top) < arity[:, None]] = verts.searchsorted(vals)
+    pad.sort(axis=1)
+    if (n and verts[0] < 0) or ((pad[:, 1:] == pad[:, :-1]) & (pad[:, 1:] < n)).any():
+        return None
+    keys = [np.arange(n)]
+    rows = [keys[0][:, None]] if n else []
+    for k in range(1, top):
+        sub = pad[:, list(combinations(range(top), k + 1))].reshape(-1, k + 1)
+        sub = sub[sub[:, -1] < n]
+        keys.append(_distinct(sub[:, 0] * len(keys[-1]) + _row_ids(keys, sub[:, 1:])))
+        first, rest = np.divmod(keys[-1], len(keys[-2]))
+        rows.append(np.concatenate((first[:, None], rows[-1][rest]), axis=1))
+    return verts, rows
+
+
 def build_complex(generators: Iterable[Sequence[int]], name: str | None = None) -> Complex:
-    """Face closure of the given generator tuples.
+    """Face closure of the given generator tuples.  The vertex ids are the
+    caller's objects, the first occurrence of each; a bad generator raises
+    canonical_simplex's error, the first in input order.
 
     Idempotent: the closure of a closure is itself.
     """
-    simplices = set()
-    for g in generators:
-        simplices.update(faces_of(canonical_simplex(g)))
-    return Complex(simplices, name=name)
+    gens = list(map(tuple, generators))
+    flat = list(chain.from_iterable(gens))
+    closed = None
+    if all(issubclass(t, (int, np.integer)) for t in set(map(type, flat))):
+        with suppress(OverflowError):  # an id outside the int64 range
+            closed = _closure(list(map(len, gens)), np.fromiter(flat, np.int64, len(flat)))
+    if closed is None:
+        for g in gens:  # the first bad generator raises
+            canonical_simplex(g)
+        bad = next(v for v in flat if not isinstance(v, (int, np.integer)))
+        raise PfcError(f"vertex id {bad!r} is not an integer")
+    return Complex.from_rows(sorted(dict.fromkeys(flat)), closed[1], name=name)
 
 
 def star(c: Complex, s) -> Complex:
@@ -423,7 +471,8 @@ def quotient(c: Complex, pairs: Sequence) -> QuotientResult:
     old = c.vertices
     roots = {v: verts.find(v) for v in list(verts)}
     rep = np.fromiter(map(roots.get, old, old), np.int64, len(old))
-    reps, new = np.unique(rep, return_inverse=True)  # dense ids in the classes' order
+    reps = _distinct(rep)
+    new = reps.searchsorted(rep)  # dense ids in the classes' order
     out = []
     for r in c.rows:
         img = np.sort(new[r], axis=1)

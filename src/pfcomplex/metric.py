@@ -177,22 +177,28 @@ def dihedral_angle(mc: MetricComplex, tet, edge) -> float:
 
 
 def validate_metric(mc: MetricComplex) -> None:
-    """Raise MetricError unless every simplex is flatly realizable."""
-    for e in mc.complex.k_simplices(1):
-        l = mc.lengths.get(e)
-        if l is None:
-            raise MetricError(f"edge {e} has no length")
-        if not 0 < l < math.inf:
-            raise MetricError(f"edge {e} has length {l}, not finite positive")
-    for k in range(2, mc.complex.dim + 1):
-        simplices = mc.complex.k_simplices(k)
-        lengths = np.array([mc.lengths.get(e, math.nan) for s in simplices
-                            for e in combinations(s, 2)], dtype=float)
-        shape = (len(simplices), k * (k + 1) // 2)
-        bad = np.flatnonzero(~_realizable_rows(lengths.reshape(shape), k))
+    """Raise MetricError unless every simplex is flatly realizable.  The
+    lengths are read once per edge; each simplex's are gathered by edge id."""
+    c = mc.complex
+    if c.dim < 1:
+        return
+    n, ids = len(c.vertices), np.array(c.vertices, np.int64)
+    # edge tuples for the lookups only: a complex builds its cells on first use
+    got = list(map(mc.lengths.get, zip(*ids[c.rows[1]].T.tolist())))
+    lengths = np.array(got, dtype=float)  # nan where an edge has none
+    ok = (lengths > 0) & (lengths < math.inf)
+    if not ok.all():
+        e, l = c.k_simplices(1)[np.argmin(ok)], got[np.argmin(ok)]
+        raise MetricError(f"edge {e} has no length" if l is None else
+                          f"edge {e} has length {l}, not finite positive")
+    keys = c.rows[1][:, 0] * n + c.rows[1][:, 1]
+    for k in range(2, c.dim + 1):
+        i, j = zip(*combinations(range(k + 1), 2))  # vertex pairs in canonical order
+        ends = c.rows[k][:, i] * n + c.rows[k][:, j]
+        bad = np.flatnonzero(~_realizable_rows(lengths[np.searchsorted(keys, ends)], k))
         if bad.size:
             raise MetricError(
-                f"simplex {simplices[bad[0]]} is not flatly realizable")
+                f"simplex {c.k_simplices(k)[bad[0]]} is not flatly realizable")
 
 
 def angle_sum_at_vertex(mc: MetricComplex, v: int) -> float:

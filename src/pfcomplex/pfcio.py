@@ -16,9 +16,15 @@ precision), so serialize(parse(serialize(x))) == serialize(x).
 
 from __future__ import annotations
 
+import bisect
 import math
+import operator
+from array import array
+from itertools import chain
 
-from .complexes import build_complex, canonical_simplex
+import numpy as np
+
+from .complexes import Complex, _closure, canonical_simplex
 from .metric import MetricComplex, validate_metric
 from .report import PfcError
 
@@ -61,38 +67,106 @@ def parse(text: str, validate: bool = True) -> MetricComplex:
     present, every edge of the closure must receive exactly one finite
     length (all-or-none), and no record may name an edge outside it.
     With validate=True the metric is certified flatly realizable.
+
+    The line loop only files each record by its tag; the `s` and `l`
+    records are then converted and checked as arrays.  If a check fails,
+    _raise_first_bad_record reads them one at a time to name the first
+    error and its line.
     """
-    header_seen = False
-    name = None
-    dim_declared = None
-    nverts = None
-    generators = []
-    lengths = {}
-    length_line = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [raw.split("#", 1)[0] for raw in lines]
+    head = next((i for i, line in enumerate(lines) if line.split()), None)
+    if head is None:
+        raise PfcSyntaxError("missing 'pfc' header", 1)
+    if lines[head].split() != ["pfc", str(FORMAT_VERSION)]:
+        raise PfcSyntaxError(f"expected 'pfc {FORMAT_VERSION}' header", head + 1)
+    name = dim_declared = nverts = closed = None
+    # flat lists, not one per record, which the cyclic collector would scan
+    # again and again; the vertex ids as int64s (OverflowError past 2**63)
+    ids, arity, us, vs, xs, llines = array("q"), [], [], [], [], []
+    try:
+        for lineno, line in enumerate(lines[head + 1:], start=head + 2):
+            fields = line.split()
+            if not fields:
+                continue
+            tag = fields[0]
+            if tag == "s":
+                ids.extend(map(int, fields[1:]))
+                arity.append(len(fields) - 1)
+            elif tag == "l" and len(fields) == 4:
+                us.append(int(fields[1]))
+                vs.append(int(fields[2]))
+                xs.append(float(fields[3]))
+                llines.append(lineno)
+            elif tag == "name":
+                name = " ".join(fields[1:])
+            elif tag == "dim":
+                (dim_declared,) = map(int, fields[1:])
+            elif tag == "vertices":
+                (nverts,) = map(int, fields[1:])
+            else:  # an unknown directive or a bad length record
+                raise ValueError(tag)
+        lengths = dict(zip(zip(us, vs), xs))
+        x = np.array(xs)
+        if (len(lengths) == len(xs) and all(map(operator.lt, us, vs))
+                and ((x > 0) & (x < math.inf)).all() and all(arity)):
+            closed = _closure(arity, np.frombuffer(ids, np.int64))
+    except (ValueError, OverflowError):
+        pass
+    if closed is None:
+        _raise_first_bad_record(lines, head)
+    verts, rows = closed
+    c = Complex.from_rows(verts.tolist(), rows, name=name)
+    if nverts is not None and c.vertices and c.vertices[-1] >= nverts:
+        big = c.vertices[bisect.bisect_left(c.vertices, nverts)]
+        raise PfcSyntaxError(f"vertex {big} exceeds declared vertex count {nverts}")
+    if dim_declared is not None and c.dim > dim_declared:
+        raise PfcSyntaxError(
+            f"simplices of dimension {c.dim} exceed declared dim {dim_declared}")
+    mc = MetricComplex(c, lengths)
+    if lengths:
+        try:
+            ends = np.fromiter(chain(us, vs), np.int64, 2 * len(us)).reshape(2, -1)
+        except OverflowError:  # such an id names no vertex
+            ends = np.array([[e if -1 < e < 2**63 else -1 for e in x] for x in (us, vs)])
+        n, edges = len(verts), rows[1] if c.dim > 0 else np.zeros((0, 2), np.int64)
+        rank = verts.searchsorted(ends)
+        key, keys = rank[0] * n + rank[1], edges[:, 0] * n + edges[:, 1]
+        eid = keys.searchsorted(key)
+        # both ends are vertices, and the key is an edge's (-1 pads past the last)
+        hit = (np.append(verts, -1)[rank] == ends).all(axis=0) & (np.append(keys, -1)[eid] == key)
+        if not hit.all():
+            i = int(np.argmin(hit))
+            raise PfcSyntaxError(f"length record for edge {(us[i], vs[i])}, which is "
+                                 f"not an edge of the complex", llines[i])
+        if len(edges) > len(lengths):
+            first = int(np.argmin(np.bincount(eid, minlength=len(edges))))
+            raise PfcError(
+                f"partial metric: {len(edges) - len(lengths)} edges lack lengths, "
+                f"first {c.k_simplices(1)[first]}")
+        if validate:
+            validate_metric(mc)
+    return mc
+
+
+def _raise_first_bad_record(lines: list, head: int) -> None:
+    """Read the records after the header one at a time, in line order, and
+    raise the first one's error: what parse does once a bulk check fails."""
+    seen = set()
+    for lineno, line in enumerate(lines[head + 1:], start=head + 2):
         fields = line.split()
-        tag, args = fields[0], fields[1:]
-        if not header_seen:
-            if tag != "pfc" or args != [str(FORMAT_VERSION)]:
-                raise PfcSyntaxError(f"expected 'pfc {FORMAT_VERSION}' header",
-                                     lineno)
-            header_seen = True
+        if not fields:
             continue
-        if tag == "name":
-            name = " ".join(args)
-        elif tag == "dim":
-            dim_declared = _int_field(args, 1, lineno)[0]
-        elif tag == "vertices":
-            nverts = _int_field(args, 1, lineno)[0]
+        tag, args = fields[0], fields[1:]
+        if tag in ("dim", "vertices"):
+            _int_field(args, 1, lineno)
         elif tag == "s":
             if not args:
                 raise PfcSyntaxError("empty simplex record", lineno)
             ids = _int_field(args, len(args), lineno)
             try:
-                generators.append(canonical_simplex(ids))
+                canonical_simplex(ids)
             except PfcError as e:
                 raise PfcSyntaxError(str(e), lineno) from None
         elif tag == "l":
@@ -109,35 +183,12 @@ def parse(text: str, validate: bool = True) -> MetricComplex:
             if not 0 < val < math.inf:
                 raise PfcSyntaxError(f"length {args[2]!r} is not finite and "
                                      f"positive", lineno)
-            if (u, v) in lengths:
+            if (u, v) in seen:
                 raise PfcSyntaxError(f"duplicate length record for {(u, v)}",
                                      lineno)
-            lengths[(u, v)] = val
-            length_line[(u, v)] = lineno
-        else:
+            seen.add((u, v))
+        elif tag != "name":
             raise PfcSyntaxError(f"unknown directive {tag!r}", lineno)
-    if not header_seen:
-        raise PfcSyntaxError("missing 'pfc' header", 1)
-
-    c = build_complex(generators, name=name)
-    big = [v for v in c.vertices if nverts is not None and v >= nverts]
-    if big:
-        raise PfcSyntaxError(f"vertex {big[0]} exceeds declared vertex count {nverts}")
-    if dim_declared is not None and c.dim > dim_declared:
-        raise PfcSyntaxError(
-            f"simplices of dimension {c.dim} exceed declared dim {dim_declared}")
-    mc = MetricComplex(c, lengths)
-    if lengths:
-        c._ids(list(length_line), lambda e: PfcSyntaxError(
-            f"length record for edge {e}, which is not an edge of the complex", length_line[e]))
-        missing = [e for e in c.k_simplices(1) if e not in lengths]
-        if missing:
-            raise PfcError(
-                f"partial metric: {len(missing)} edges lack lengths, "
-                f"first {missing[0]}")
-        if validate:
-            validate_metric(mc)
-    return mc
 
 
 def _int_field(args, count, lineno):

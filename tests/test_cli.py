@@ -114,6 +114,33 @@ def test_parse_rejects_bad_simplex_records(record):
     assert err.value.line == 5
 
 
+BASE = "pfc 1\ndim 2\nvertices 9\ns 0 1\n"
+
+
+@pytest.mark.parametrize("doc, line, message", [
+    (BASE + "l 0 1 nan\ns 2 2\n", 5, "length 'nan' is not finite and positive"),
+    (BASE + "s 2 2\nl 0 1 nan\n", 5, "repeated vertex 2 in simplex (2, 2)"),
+    (BASE + "l 0 2 1.0\ns 1 x\n", 6, "bad integer in ['1', 'x']"),
+    (BASE + "l 0 1\ns 3 -3\n", 5, "length record needs 'l u v value'"),
+    (BASE + "s 1 1\nwibble\n", 5, "repeated vertex 1 in simplex (1, 1)"),
+    (BASE + "l 0 1 1.0\ns\n", 6, "empty simplex record"),
+    (BASE + "s 1 2 3\ns 4 5\ns 6\ns 3 4.0 5\n", 8, "bad integer in ['3', '4.0', '5']"),
+    ("pfc 1\ndim 2\ns 0 1 2\ns 2 3\nvertices 3\n", None,
+     "vertex 3 exceeds declared vertex count 3"),
+], ids=["bad-s-after-bad-l", "bad-l-after-bad-s", "non-edge-before-syntax-error",
+        "short-l-before-bad-s", "unknown-directive-after-bad-s", "empty-s-record",
+        "mixed-arities-non-integer",
+        "vertices-after-s"])
+def test_parse_names_the_first_bad_record(doc, line, message):
+    """Records are checked in bulk, but the error is the one a line-by-line
+    read meets first: syntax errors in line order, then the checks on the
+    closed complex, whatever the order of the records."""
+    with pytest.raises(PfcSyntaxError) as err:
+        parse(doc)
+    assert err.value.line == line
+    assert str(err.value) == (f"line {line}: " if line else "") + message
+
+
 def test_fixture_example1_euler():
     mc = parse(Path(fixture("example1.pfc")).read_text(encoding="utf-8"))
     assert euler_characteristic(mc.complex) == -5

@@ -21,7 +21,8 @@ from pfcomplex import (
 from pfcomplex.builders import _far_pairs, _simplex_pair, box_complex
 from pfcomplex.complexes import canonical_simplex, faces_of
 from pfcomplex.homology import betti
-from pfcomplex.pfcio import serialize
+from pfcomplex.pfcio import parse, serialize
+from test_metric import random_generator_lists
 
 
 def random_complex(rng, n_vertices=8, n_generators=6, max_dim=3):
@@ -70,6 +71,52 @@ def test_invalid_simplex_rejected():
     with pytest.raises(PfcError,
                        match=r"repeated vertex 1 in simplex \(0, 1, 1\)"):
         build_complex([(0, 1, 1)])
+
+
+def test_closure_equals_the_union_of_faces():
+    """The rows-based closure holds exactly the faces of the generators,
+    on ids up to 2**63 - 1, and a bad generator raises the error that
+    canonical_simplex gives the first one in input order."""
+    top = 2**63 - 1
+    near_top = [[(top, top - 1, 0), (top - 2, top), (5,)], [(top,)],
+                [(top - 3, top - 1, top - 2, top), (0, top - 3)]]
+    for gens in random_generator_lists() + near_top:
+        c = build_complex(gens)
+        faces = set().union(*(faces_of(canonical_simplex(g)) for g in gens))
+        assert c.cells == sorted(faces, key=lambda s: (len(s), s))
+        assert c.vertices == [s[0] for s in c.cells if len(s) == 1]
+    rng = random.Random(11)
+    for _ in range(300):
+        gens = [tuple(rng.choice([0, 1, 2, 3, -1, 2**63, 10**20, top])
+                      for _ in range(rng.randint(0, 3))) for _ in range(4)]
+        errors = []
+        for g in gens:
+            try:
+                canonical_simplex(g)
+            except PfcError as e:
+                errors.append(str(e))
+        if errors:
+            with pytest.raises(PfcError) as err:
+                build_complex(gens)
+            assert str(err.value) == errors[0]
+        else:
+            faces = set().union(*map(faces_of, map(canonical_simplex, gens)))
+            assert build_complex(gens).simplices == faces
+
+
+def test_vertex_ids_are_the_callers_first_objects():
+    assert {type(v) for v in box_complex(2, 2, 2).complex.vertices} == {np.int64}
+    c = build_complex([(np.int64(3), 1), (3, 2)])
+    assert list(map(type, c.vertices)) == [int, int, np.int64]
+    with pytest.raises(PfcError, match=r"vertex id 1.5 is not an integer"):
+        build_complex([(0, 1), (1.5, 0)])
+
+
+def test_parse_leaves_no_membership_records():
+    """parse finds its edges by one search over the edge keys, so a parsed
+    complex caches no batch-membership records."""
+    doc = serialize(box_complex(2, 1, 1))
+    assert "_records" not in vars(parse(doc).complex)
 
 
 def test_closure_idempotent():

@@ -1,5 +1,6 @@
-"""Property tests: the exit-code contract on fuzzed PFC input, and the PFC
-round trip on random metric complexes.
+"""Property tests: the exit-code contract on fuzzed PFC input, parse
+against the line-by-line reference reader, and the PFC round trip on random
+metric complexes.
 
 Examples are drawn deterministically (derandomize=True), so a failure
 reproduces on every run.
@@ -16,6 +17,9 @@ from hypothesis import strategies as st
 from pfcomplex import MetricComplex, build_complex
 from pfcomplex.cli import run_command
 from pfcomplex.pfcio import parse, serialize
+from pfcomplex.report import PfcError
+
+import parse_oracle
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 # example1.pfc is left out: its link check alone takes most of a second
@@ -125,6 +129,36 @@ def test_random_documents_keep_the_exit_contract(tmp_path_factory, doc,
                                                  command):
     path = tmp_path_factory.getbasetemp() / "random.pfc"
     assert_exit_contract(path, doc, command)
+
+
+def parse_outcome(reader, doc):
+    """What a reader makes of a document: the cells, vertex ids (with
+    their types), name and lengths in insertion order, or the error's
+    class, message and line."""
+    try:
+        mc = reader(doc)
+    except PfcError as e:
+        return type(e), str(e), getattr(e, "line", None)
+    c = mc.complex
+    return (c.cells, c.vertices, list(map(type, c.vertices)), c.name,
+            list(mc.lengths.items()))
+
+
+ORACLE = settings(derandomize=True, deadline=None, max_examples=250)
+
+
+@ORACLE
+@given(doc=random_documents())
+def test_parse_equals_the_line_by_line_reader_on_random_documents(doc):
+    assert parse_outcome(parse, doc) == parse_outcome(parse_oracle.parse, doc)
+
+
+@ORACLE
+@given(seed=st.sampled_from(SEEDS),
+       mutations=st.lists(MUTATION, min_size=1, max_size=4))
+def test_parse_equals_the_line_by_line_reader_on_mutated_fixtures(seed, mutations):
+    doc = mutate(seed, mutations)
+    assert parse_outcome(parse, doc) == parse_outcome(parse_oracle.parse, doc)
 
 
 @st.composite

@@ -65,3 +65,14 @@ def test_only_complex_and_midpoint_subdivision_read_the_frozenset():
                if (name, getattr(node, "name", None)) not in allowed
                for n in ast.walk(node) if isinstance(n, ast.Attribute) and n.attr == "simplices"]
     assert readers == []
+
+
+def test_parse_checks_records_one_at_a_time_only_in_the_rescan():
+    """pfcio converts and checks the records as arrays.  Only the re-scan
+    that names the first bad record calls canonical_simplex per record,
+    and no path searches membership records (Complex._ids)."""
+    tree = parsed_modules()["pfcio.py"]
+    callers = [node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+               and references(node)["canonical_simplex"]]
+    assert callers == ["_raise_first_bad_record"]
+    assert references(tree)["_ids"] == 0
