@@ -245,10 +245,11 @@ class MetricGraph:
 
 def _link_table(mc: MetricComplex, d: int) -> tuple:
     """The links of every vertex (d = 1) or edge (d = 2), cached on mc and
-    built in one numpy pass over the rows: a dict giving each its id; for
-    its d- and (d + 1)-cofaces (nodes and arcs), CSR offsets, cell ids in
-    open_star's order and their other vertices' ranks; a code per arc for
-    the lengths its angle reads; and the angles so far, by code."""
+    built in one numpy pass over the rows: a dict giving each its id; CSR
+    offsets (lists) and ranks of the nodes, the d-cofaces' other vertices;
+    CSR offsets and one int64 row per arc, a (d + 1)-coface: its cell id in
+    open_star's order, its other vertices' ranks and a code for the lengths
+    its angle reads; and the angles so far, by code."""
     if d not in mc._links:
         c, n = mc.complex, len(mc.complex.vertices)
         owners, edges = c.k_simplices(d - 1), c.k_simplices(1)
@@ -267,18 +268,23 @@ def _link_table(mc: MetricComplex, d: int) -> tuple:
             owner = (rows[:, [k[0] for k in combos]] if d == 1
                      else eids[:, [pairs[k[:2]] for k in combos]]).ravel()
             order = np.argsort(owner, kind="stable")  # cells ascend per owner
-            parts.append((np.concatenate(([0], np.bincount(owner, minlength=len(owners)).cumsum())),
-                          order // len(combos) + sum(map(len, c.rows[:m])),
-                          rows[:, [k[d:] for k in combos]].reshape(-1, m + 1 - d)[order]))
-            if m == d + 1:  # mixed radix, made dense before it could overflow
-                code = np.zeros(len(order), np.int64)
-                for read in zip(*([pairs[tuple(sorted(p))] for p in combinations(k, 2)]
-                                  for k in combos)):
-                    if code.max(initial=0) >= 2**62 // base:
-                        code = np.unique(code, return_inverse=True)[1]
-                    code = code * base + lcode[eids[:, read]].ravel()[order]
-        (nptr, _, nodes), arcs = parts
-        mc._links[d] = dict(zip(owners, range(len(owners)))), (nptr, nodes), arcs, code, {}
+            ptr = np.concatenate(([0], np.bincount(owner, minlength=len(owners)).cumsum()))
+            ranks = rows[:, [k[d:] for k in combos]].reshape(-1, m + 1 - d)[order]
+            if m == d:
+                parts.append((ptr.tolist(), ranks[:, 0]))
+                continue
+            block = np.empty((len(order), 4), np.int64)
+            block[:, 0] = order // len(combos) + sum(map(len, c.rows[:m]))
+            block[:, 1:3], code = ranks, block[:, 3]
+            code[:] = 0  # mixed radix, made dense before it could overflow
+            for read in zip(*([pairs[tuple(sorted(p))] for p in combinations(k, 2)]
+                              for k in combos)):
+                if code.max(initial=0) >= 2**62 // base:
+                    code[:] = np.unique(code, return_inverse=True)[1]
+                code *= base
+                code += lcode[eids[:, read]].ravel()[order]
+            parts.append((ptr.tolist(), block))
+        mc._links[d] = dict(zip(owners, range(len(owners)))), *parts, {}
     return mc._links[d]
 
 
@@ -287,19 +293,17 @@ def _link_walk(mc: MetricComplex, s):
     link table: nodes labelled by their vertex outside s, arcs weighted by
     their angle at s, computed on the first arc whose code needs it; an
     angle that raises is never stored, so it raises again."""
-    row, (nptr, nodes), (aptr, cell, ranks), code, angles = _link_table(mc, len(s))
+    row, (nptr, nodes), (aptr, block), angles = _link_table(mc, len(s))
     i = row[s] if s in row else mc.complex.open_star(s)  # raises: s is no simplex
-    verts, cells, lo, hi = mc.complex.vertices, mc.complex.cells, aptr[i], aptr[i + 1]
-    tags, codes = [cells[x] for x in cell[lo:hi].tolist()], code[lo:hi].tolist()
-    weights = list(map(angles.get, codes))
-    for j, w in enumerate(weights):
+    verts, cells, arcs = mc.complex.vertices, mc.complex.cells, []
+    for x, a, b, code in block[aptr[i]:aptr[i + 1]].tolist():
+        w = angles.get(code)
         if w is None:
-            (a, b), v, t = [x for x in tags[j] if x not in s], s[0], tags[j]
-            weights[j] = angles[codes[j]] = dihedral_angle(mc, t, s) if len(s) == 2 else \
-                corner_angle(mc.length(v, a), mc.length(v, b), mc.length(a, b))
-    arcs = list(map(Arc, *([verts[x] for x in col] for col in ranks[lo:hi].T.tolist()),
-                    weights, tags))
-    return [verts[x] for x in nodes[nptr[i]:nptr[i + 1], 0].tolist()], arcs
+            (p, q), v, t = [y for y in cells[x] if y not in s], s[0], cells[x]
+            w = angles[code] = dihedral_angle(mc, t, s) if len(s) == 2 else \
+                corner_angle(mc.length(v, p), mc.length(v, q), mc.length(p, q))
+        arcs.append(Arc(verts[a], verts[b], w, cells[x]))
+    return [verts[x] for x in nodes[nptr[i]:nptr[i + 1]].tolist()], arcs
 
 
 def _link_graph(mc: MetricComplex, s) -> MetricGraph:
@@ -352,13 +356,11 @@ def _dijkstra(adj, source, skip_arc=None):
     heap = [(0.0, source)]
     while heap:
         d, x = heapq.heappop(heap)
-        if d > dist.get(x, math.inf):
+        if d > dist[x]:  # every pushed node has a distance
             continue
         for y, w, idx in adj[x]:
-            if idx == skip_arc:
-                continue
             nd = d + w
-            if nd < dist.get(y, math.inf) - 1e-15:
+            if nd < dist.get(y, math.inf) - 1e-15 and idx != skip_arc:
                 dist[y] = nd
                 prev[y] = x
                 heapq.heappush(heap, (nd, y))
@@ -420,62 +422,77 @@ def min_eccentricity(g: MetricGraph, delta: float = DEFAULT_DELTA) -> Eccentrici
     bound and only validated; the exact optimum trivially satisfies
     hi - lo <= 2*delta.
     """
+    return _min_eccentricities([g], delta)[0]
+
+
+def _min_eccentricities(graphs, delta: float = DEFAULT_DELTA) -> list:
+    """min_eccentricity of each graph, in order.  Graphs of equal node and
+    arc counts share one pass: their grid rows are stacked, each with its
+    graph's id, so every float is the one a pass over its graph alone
+    computes, and each graph takes the least of its own rows."""
     if not 0 < delta < math.inf:
         raise PfcError(f"resolution must be positive, got {delta}" if delta <= 0
                        else f"resolution must be finite, got {delta}")
-    if not g.nodes:
-        raise PfcError("empty graph has no eccentricity")
-    adj = _adjacency(g)
-    rows = [_dijkstra(adj, n)[0] for n in g.nodes]
-    if len(rows[0]) < len(g.nodes):
-        return EccentricityBounds(math.inf, math.inf, connected=False)
-    if not g.arcs:
-        return EccentricityBounds(0.0, 0.0)
+    out, groups = [], {}
+    for g in graphs:
+        if not g.nodes:
+            raise PfcError("empty graph has no eccentricity")
+        adj = _adjacency(g)
+        rows = [_dijkstra(adj, n)[0] for n in g.nodes]  # dropped below: they outweigh a block
+        if len(rows[0]) < len(g.nodes):
+            out.append(EccentricityBounds(math.inf, math.inf, connected=False))
+        elif not g.arcs:
+            out.append(EccentricityBounds(0.0, 0.0))
+        else:
+            out.append(None)  # set by its group's pass
+            index = {n: i for i, n in enumerate(g.nodes)}
+            groups.setdefault((len(g.nodes), len(g.arcs)), []).append(
+                (len(out) - 1, np.array([[row[m] for m in g.nodes] for row in rows]),
+                 *zip(*((index[a.u], index[a.v], a.weight) for a in g.arcs))))
+        del rows
+    for n, a in list(groups):  # each group dropped once stacked
+        ids, dist, p_idx, q_idx, z_arr = map(np.array, zip(*groups.pop((n, a))))
+        # each arc's grid: 0, w, w/2 and the cuts inside (0, w), sorted, distinct
+        z, k = z_arr[..., None], np.arange(len(ids))[:, None]
+        cuts = (z + dist[k, q_idx] - dist[k, p_idx]) / 2.0
+        cuts[(cuts <= 0.0) | (cuts >= z)] = 0.0
+        grid = np.sort(np.concatenate([np.zeros_like(z), z, z / 2.0, cuts], axis=2), axis=2)
+        new = np.diff(grid, axis=2, prepend=-1.0) != 0.0
+        graph_of, arc_of = np.nonzero(new)[:2]
+        t_all, best = grid[new], np.full(len(ids), math.inf)
 
-    dist = np.array([[row[m] for m in g.nodes] for row in rows])
-    del rows  # the distance dicts outweigh a block of grid rows
-    index = {n: i for i, n in enumerate(g.nodes)}
-    p_idx = np.array([index[a.u] for a in g.arcs])
-    q_idx = np.array([index[a.v] for a in g.arcs])
-    z_arr = np.array([a.weight for a in g.arcs])
+        # whole arcs per block, closed before an arc that would pass _ECC_BLOCK
+        lo, stops = 0, np.cumsum(new.sum(axis=2)).tolist()
+        for stop, after in zip(stops, stops[1:] + [None]):
+            if after is not None and (after - lo) * (n + a) <= _ECC_BLOCK:
+                continue
+            t, gi, ai, lo = t_all[lo:stop], graph_of[lo:stop], arc_of[lo:stop], stop
+            r, w = np.arange(len(t)), z_arr[gi, ai]
+            # one row per grid point: node terms, then far points of the arcs
+            f = np.minimum(t[:, None] + dist[gi, p_idx[gi, ai]],
+                           (w - t)[:, None] + dist[gi, q_idx[gi, ai]])
+            over_arcs = (f[r[:, None], p_idx[gi]] + f[r[:, None], q_idx[gi]] + z_arr[gi]) / 2.0
+            over_arcs[r, ai] = np.maximum(t, w - t)
+            v = np.concatenate([f, over_arcs], axis=1)
+            np.minimum.at(best, gi, v.max(axis=1))
 
-    # each arc's grid: 0, w, w/2 and the cuts inside (0, w), sorted, distinct
-    z = z_arr[:, None]
-    cuts = (z + dist[q_idx] - dist[p_idx]) / 2.0
-    cuts[(cuts <= 0.0) | (cuts >= z)] = 0.0
-    grid = np.sort(np.concatenate([np.zeros_like(z), z, z / 2.0, cuts], axis=1), axis=1)
-    new = np.diff(grid, axis=1, prepend=-1.0) != 0.0
-    arc_of, t_all = np.nonzero(new)[0], grid[new]
-
-    # whole arcs per block, closed before an arc that would pass _ECC_BLOCK
-    best, width, lo = math.inf, len(g.nodes) + len(g.arcs), 0
-    stops = np.cumsum(new.sum(axis=1)).tolist()
-    for stop, after in zip(stops, stops[1:] + [None]):
-        if after is not None and (after - lo) * width <= _ECC_BLOCK:
-            continue
-        t, ai, lo = t_all[lo:stop], arc_of[lo:stop], stop
-        w = z_arr[ai]
-        # one row per grid point: node terms, then far points of the arcs
-        f = np.minimum(t[:, None] + dist[p_idx[ai]], (w - t)[:, None] + dist[q_idx[ai]])
-        over_arcs = (f[:, p_idx] + f[:, q_idx] + z_arr) / 2.0
-        over_arcs[np.arange(len(t)), ai] = np.maximum(t, w - t)
-        v = np.concatenate([f, over_arcs], axis=1)
-        best = min(best, float(v.max(axis=1).min()))
-
-        # one row per pair of consecutive points; a pair shorter than 1e-14
-        # is never crossed, nor one spanning two arcs, where dt = -w < 0
-        dt, v1, t1 = np.diff(t), v[:-1], t[:-1, None]
-        slope = np.diff(v, axis=0) / dt[:, None]
-        rising, falling = slope > 0.5, slope < -0.5
-        b_plus = np.where(rising, v1 - t1, -np.inf).max(axis=1)
-        b_minus = np.where(falling, v1 + t1, -np.inf).max(axis=1)
-        with np.errstate(invalid="ignore"):  # -inf - -inf where neither
-            t_star = (b_minus - b_plus) / 2.0
-        e_star = np.maximum((b_plus + b_minus) / 2.0,
-                            np.where(rising | falling, -np.inf, v1).max(axis=1))
-        crossed = (dt >= 1e-14) & (t[:-1] < t_star) & (t_star < t[1:])
-        best = min(best, float(e_star[crossed].min(initial=math.inf)))
-    return EccentricityBounds(best, best)
+            # one row per pair of consecutive points; a pair shorter than 1e-14
+            # is never crossed, nor one spanning two arcs of one graph or two,
+            # where dt = -w < 0
+            dt, v1, t1 = np.diff(t), v[:-1], t[:-1, None]
+            slope = np.diff(v, axis=0) / dt[:, None]
+            rising, falling = slope > 0.5, slope < -0.5
+            b_plus = np.where(rising, v1 - t1, -np.inf).max(axis=1)
+            b_minus = np.where(falling, v1 + t1, -np.inf).max(axis=1)
+            with np.errstate(invalid="ignore"):  # -inf - -inf where neither
+                t_star = (b_minus - b_plus) / 2.0
+            e_star = np.maximum((b_plus + b_minus) / 2.0,
+                                np.where(rising | falling, -np.inf, v1).max(axis=1))
+            crossed = (dt >= 1e-14) & (t[:-1] < t_star) & (t_star < t[1:])
+            np.minimum.at(best, gi[:-1][crossed], e_star[crossed])
+        for i, b in zip(ids.tolist(), best.tolist()):
+            out[i] = EccentricityBounds(b, b)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -566,15 +583,17 @@ def extendability_check(mc: MetricComplex) -> CheckReport:
     faces = free_face_check(mc.complex)
     items = list(faces.items)
     ok = faces.verdict == PASS
-    memo = {}
+    keys, links, at = {}, [], []  # one graph per distinct rank key, then per vertex its index
     for v in mc.complex.vertices:
         g = vertex_link_graph(mc, v)
         if not g.nodes:
-            continue  # isolated vertex: already reported as a free situation
-        key = _rank_key(g)[0]
-        if key not in memo:
-            memo[key] = min_eccentricity(g)
-        ecc = memo[key]
+            continue  # isolated vertex: no nonconstant local geodesic, vacuously extendable
+        at.append((v, keys.setdefault(_rank_key(g)[0], len(keys))))
+        if len(links) < len(keys):
+            links.append(g)
+    eccs = _min_eccentricities(links)
+    for v, k in at:
+        ecc = eccs[k]
         bad = ecc.lo < math.pi - EPS_ANG
         ok = ok and not bad
         items.append(CheckItem(f"vertex {v}", ecc.lo, math.pi,

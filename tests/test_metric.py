@@ -55,6 +55,7 @@ from pfcomplex.metric import (
     _adjacency,
     _dijkstra,
     _link_walk,
+    _min_eccentricities,
     angle_sum_at_vertex,
 )
 
@@ -678,6 +679,43 @@ def test_min_ecc_equals_detour_search_oracle():
                for g in graphs) > 1000
 
 
+def test_min_eccentricities_batch_equals_detour_search_oracle():
+    """One batch over builder links and random multigraphs of mixed sizes,
+    many of one shape, so blocks span several graphs and a graph's rows
+    sit next to another's: bitwise equal to the oracle, in order."""
+    rng = random.Random(2029)
+    graphs = builder_link_graphs()
+    for _ in range(3000):
+        n = rng.randint(1, 8)
+        arcs = [Arc(*rng.sample(range(n), 2),
+                    rng.choice((rng.uniform(0.05, 3.0), math.pi / rng.randint(1, 4))))
+                for _ in range(rng.randint(0, 10) if n > 1 else 0)]
+        graphs.append(MetricGraph(tuple(range(n)), tuple(arcs)))
+    results, expected = _min_eccentricities(graphs), list(map(min_eccentricity_oracle, graphs))
+    assert [(e.lo.hex(), e.hi.hex(), e.connected) for e in results] == \
+        [(e.lo.hex(), e.hi.hex(), e.connected) for e in expected]
+    assert sum(not e.connected for e in results) > 300
+    assert sum(len(g.nodes) == 1 for g in graphs) > 300
+    assert sum(len(g.nodes) > 1 and not g.arcs for g in graphs) > 30
+    assert sum(len({frozenset(a[:2]) for a in g.arcs}) < len(g.arcs)
+               for g in graphs) > 1000
+
+
+def test_extendability_check_memory_is_bounded():
+    """The eccentricity batch holds one graph per distinct link and each
+    vertex's key index, not its key: extendability_check on a fresh
+    free_group_complex(20) peaks at about 4.45 MB of traced allocations,
+    within 10% of the 4.24 MB of one eccentricity pass per link."""
+    mc = free_group_complex(20)
+    tracemalloc.start()
+    try:
+        assert extendability_check(mc).verdict == "pass"
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.66e6
+
+
 # --- memoised link computations against fresh ones ------------------------
 # The three oracles are the check loops as they were before dihedral angles,
 # eccentricities and shortest cycles were memoised: every dihedral angle is
@@ -714,7 +752,7 @@ def extendability_check_oracle(mc: MetricComplex) -> CheckReport:
     for v in mc.complex.vertices:
         g = vertex_link_graph(mc, v)
         if not g.nodes:
-            continue  # isolated vertex: already reported as a free situation
+            continue  # isolated vertex: no nonconstant local geodesic
         ecc = min_eccentricity(g)
         bad = ecc.lo < math.pi - EPS_ANG
         ok = ok and not bad
@@ -871,6 +909,17 @@ def test_extendability_delta2_fails():
 def test_extendability_flat_torus_passes():
     rep = extendability_check(flat_torus2(3))
     assert rep.verdict == "pass"
+
+
+def test_isolated_vertex_is_vacuously_extendable():
+    """An isolated vertex has no free face and no nonconstant local
+    geodesic, so it passes with no item of its own: 9 items, 10 vertices."""
+    torus = flat_torus2(3)
+    c = build_complex([*torus.complex.facets(), (100,)])
+    rep = extendability_check(MetricComplex(c, dict(torus.lengths)))
+    assert (rep.verdict, len(c.vertices), len(rep.items)) == ("pass", 10, 9)
+    assert free_face_check(c).items == ()
+    assert "vertex 100" not in [i.location for i in rep.items]
 
 
 # --- Gauss-Bonnet ------------------------------------------------------------

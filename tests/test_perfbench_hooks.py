@@ -39,13 +39,18 @@ def test_install_then_uninstall_restores_every_module_attribute():
     assert _rebound(snapshot) == []
 
 
-def test_link_counters_and_eccentricity_spans_under_the_memos():
+def test_link_counters_and_eccentricity_spans_under_the_memos(monkeypatch):
     """One link is built per edge or vertex, as without the memos, so the
     benchmark's links_built and link_arcs counters keep their meaning; at
-    identity labels freegroup8's 371 links have 42 order types, so 42
-    min_eccentricity calls reach the traced function.  Gauss-Bonnet angle
-    sums walk the same links without the traced link builders, so they add
-    no link to the counters."""
+    identity labels freegroup8's 371 links have 42 order types, so the
+    check hands 42 graphs to one eccentricity batch, which does not pass
+    through the traced min_eccentricity.  Gauss-Bonnet angle sums walk the
+    same links without the traced link builders, so they add no link to the
+    counters."""
+    batches = []
+    batch = metric._min_eccentricities
+    monkeypatch.setattr(metric, "_min_eccentricities",
+                        lambda graphs: batches.append(len(graphs)) or batch(graphs))
     example1 = parse((ROOT / "fixtures" / "example1.pfc").read_text(
         encoding="utf-8"))
     freegroup8 = free_group_complex(8)
@@ -64,5 +69,4 @@ def test_link_counters_and_eccentricity_spans_under_the_memos():
     assert edge_links == len(example1.complex.k_simplices(1)) == 1122
     assert tracer.counts["metric.links_built"] - edge_links == \
         len(freegroup8.complex.vertices) == 371
-    spans = [s[1] for s in tracer.spans]
-    assert spans.count("metric.min_eccentricity") == 42
+    assert batches == [42]

@@ -76,3 +76,23 @@ def test_parse_checks_records_one_at_a_time_only_in_the_rescan():
                and references(node)["canonical_simplex"]]
     assert callers == ["_raise_first_bad_record"]
     assert references(tree)["_ids"] == 0
+
+
+def test_extendability_check_batches_its_eccentricities():
+    """extendability_check walks its vertices and hands the distinct links
+    to one eccentricity batch: no loop of it runs a per-link eccentricity
+    or Dijkstra.  _adjacency and _dijkstra keep the signatures that
+    builders and the acceptance tests call."""
+    tree = parsed_modules()["metric.py"]
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    per_link = {"min_eccentricity", "_min_eccentricities", "_dijkstra", "_adjacency"}
+    calls = [n.func.id for loop in ast.walk(defs["extendability_check"])
+             if isinstance(loop, ast.For) for n in ast.walk(loop)
+             if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)]
+    assert "vertex_link_graph" in calls and per_link.isdisjoint(calls)
+    assert references(defs["extendability_check"])["_min_eccentricities"] == 1
+    signature = {name: ([a.arg for a in defs[name].args.args],
+                        [ast.literal_eval(d) for d in defs[name].args.defaults])
+                 for name in ("_adjacency", "_dijkstra")}
+    assert signature == {"_adjacency": (["g"], []),
+                         "_dijkstra": (["adj", "source", "skip_arc"], [None])}
