@@ -13,6 +13,7 @@ reports are reproducible byte for byte.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from contextlib import suppress
 from functools import cached_property
 from itertools import chain, combinations, compress
@@ -132,11 +133,11 @@ class Complex:
         c.vertices, c.rows, c.name = vertices, tuple(rows), name
         return c
 
-    def __eq__(self, other):  # the name is ignored
-        return isinstance(other, Complex) and self.simplices == other.simplices
+    def __eq__(self, other):  # the name is ignored; cells are in canonical order
+        return isinstance(other, Complex) and self.cells == other.cells
 
     def __hash__(self):
-        return hash(self.simplices)
+        return hash((*self.vertices, *map(len, self.rows)))
 
     def __iter__(self):
         return iter(self.cells)
@@ -145,7 +146,9 @@ class Complex:
         return sum(map(len, self.rows))
 
     def __contains__(self, s) -> bool:
-        return tuple(s) in self.simplices
+        with suppress(PfcError):  # raised for a tuple that is no cell
+            return len(self._ids([tuple(s)], PfcError)) == 1
+        return False
 
     @cached_property
     def cells(self) -> list[Simplex]:
@@ -226,26 +229,23 @@ class Complex:
         """Maximal simplices (those with no proper coface)."""
         return list(compress(self.cells, np.diff(self.index.ptr) == 0))
 
-    @cached_property
-    def vertex_star(self) -> dict:
-        """Each vertex mapped to the tuple of simplices containing it.
-
-        Stars are in (length, lexicographic) order.  Built once per complex
-        on first use; every query about one simplex's star reads it.
-        """
-        out = {}
-        for s in self.cells:
-            for v in s:
-                out.setdefault(v, []).append(s)
-        return {v: tuple(st) for v, st in out.items()}
-
     def open_star(self, s) -> list[Simplex]:
-        """The simplices containing s, s first, in (length, lex) order, read
-        from its smallest vertex star; PfcError if s is not a simplex."""
-        s = canonical_simplex(s)
-        if s not in self.simplices:
+        """The simplices containing s, s first, in (length, lex) order: from
+        s's first vertex the coface arrays climb through the prefixes of s,
+        then give its cofaces level by level; PfcError if s is no simplex."""
+        s, ptr, cob, cells = canonical_simplex(s), self.index.ptr, self.index.cob, self.cells
+        i = bisect_left(self.vertices, s[0]) if s else len(self.vertices)
+        level = [i] if i < len(self.vertices) and cells[i] == s[:1] else []
+        for k in range(2, len(s) + 1):  # the coface of s[:k - 1] that is s[:k]
+            level = [t for f in level for t in cob[ptr[f]:ptr[f + 1]].tolist() if cells[t] == s[:k]]
+        if not level:
             raise PfcError(f"{s} is not a simplex of the complex")
-        return list(filter(set(s).issubset, min(map(self.vertex_star.get, s), key=len)))
+        out, level = [], np.array(level)
+        while len(level):  # a coface of a cell that contains s contains s
+            out.append(level)
+            n = ptr[level + 1] - ptr[level]  # gather cob[ptr[f]:ptr[f + 1]] for each f
+            level = _distinct(cob[np.repeat(ptr[level + 1] - n.cumsum(), n) + np.arange(n.sum())])
+        return list(map(cells.__getitem__, np.concatenate(out).tolist()))
 
     def subcomplex(self, simplices: Iterable[Simplex], name=None) -> "Complex":
         """Face closure of a subset of this complex's simplices."""

@@ -55,8 +55,6 @@ class MetricComplex:
 
     complex: Complex
     lengths: dict = field(compare=False)
-    _dihedrals: dict = field(default_factory=dict, init=False, repr=False,
-                             compare=False)
     _links: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
@@ -122,11 +120,14 @@ def realizable(edge_lengths: list, dim: int) -> bool:
 
 
 def corner_angle(a: float, b: float, c: float) -> float:
-    """Angle between the sides of lengths a and b, opposite side c."""
+    """Angle between the sides of lengths a and b, opposite side c;
+    PfcError if one side exceeds the sum of the other two."""
     if a <= 0 or b <= 0 or c <= 0:
         raise PfcError(f"nonpositive length in corner ({a}, {b}, {c})")
     if not all(map(math.isfinite, (a, b, c))):
         raise PfcError(f"non-finite length in corner ({a}, {b}, {c})")
+    if a > b + c or b > a + c or c > a + b:
+        raise PfcError(f"a side exceeds the other two in corner ({a}, {b}, {c})")
     arg = (a * a + b * b - c * c) / (2.0 * a * b)
     return math.acos(max(-1.0, min(1.0, arg)))
 
@@ -162,8 +163,6 @@ def dihedral_angle(mc: MetricComplex, tet, edge) -> float:
     if len(rest) != 2:
         raise PfcError(f"{edge} is not an edge of {tet}")
     lengths = tuple(mc.length(x, y) for x, y in combinations([a, b, *rest], 2))
-    if lengths in mc._dihedrals:
-        return mc._dihedrals[lengths]
     pa, pb, pc, pd = embed_simplex(lengths, 3)
     e = pb - pa
     e = e / np.linalg.norm(e)
@@ -173,7 +172,7 @@ def dihedral_angle(mc: MetricComplex, tet, edge) -> float:
     if nu == 0 or nv == 0:
         raise MetricError(f"degenerate dihedral in {tet} along {edge}")
     arg = max(-1.0, min(1.0, float(np.dot(u, v) / (nu * nv))))
-    return mc._dihedrals.setdefault(lengths, math.acos(arg))
+    return math.acos(arg)
 
 
 def validate_metric(mc: MetricComplex) -> None:
@@ -254,7 +253,7 @@ def _link_table(mc: MetricComplex, d: int) -> tuple:
         c, n = mc.complex, len(mc.complex.vertices)
         owners, edges = c.k_simplices(d - 1), c.k_simplices(1)
         keys = c.rows[1][:, 0] * n + c.rows[1][:, 1] if edges else np.zeros(0, np.int64)
-        codes = {}  # lengths equal as dict keys share a code, as in the dihedral memo
+        codes = {}  # lengths equal as dict keys share a code
         lcode = np.array([codes.setdefault(mc.lengths.get(e), len(codes)) for e in edges], np.int64)
         base, parts = len(codes) + 1, []
         for m in range(d, d + 2):

@@ -331,8 +331,10 @@ def identification_batch_oracle(mc, frees):
     accepted identifications claim their affected vertices so the batch
     members cannot interact.
     """
-    nbrs = {v: {x for e in st if len(e) == 2 for x in e if x != v}
-            for v, st in mc.complex.vertex_star.items()}
+    nbrs = {v: set() for v in mc.complex.vertices}
+    for u, v in mc.complex.k_simplices(1):
+        nbrs[u].add(v)
+        nbrs[v].add(u)
 
     def length_key(s):
         if len(s) == 1:

@@ -430,6 +430,10 @@ def test_corner_angle_domain():
         with pytest.raises(PfcError, match=f"non-finite length in corner "
                                            rf"\({bad}, 1\.0, 1\.0\)"):
             corner_angle(bad, 1.0, 1.0)
+    for sides in [(1, 1, 3), (3, 1, 1), (1, 3, 1), (1.0, 2.0, 3.5)]:
+        message = f"a side exceeds the other two in corner {sides}"
+        with pytest.raises(PfcError, match=re.escape(message)):
+            corner_angle(*sides)
 
 
 def test_corner_angle_range_and_triangle_sum():
@@ -717,26 +721,27 @@ def test_extendability_check_memory_is_bounded():
 
 
 # --- memoised link computations against fresh ones ------------------------
-# The three oracles are the check loops as they were before dihedral angles,
-# eccentricities and shortest cycles were memoised: every dihedral angle is
-# computed on a fresh MetricComplex, and every link gets its own
-# min_eccentricity or shortest_cycle call.
+# The three oracles are the check loops as they were before angles,
+# eccentricities and shortest cycles were memoised: every arc gets its own
+# dihedral_angle call, and every link its own min_eccentricity or
+# shortest_cycle call.
 
 def npc_edge_link_check_oracle(mc: MetricComplex) -> CheckReport:
     items = []
-    for e in mc.complex.k_simplices(1):
+    around = {e: [] for e in mc.complex.k_simplices(1)}  # one scan of every cell
+    for s in mc.complex:
+        for e in combinations(s, 2):
+            around[e].append(s)
+    for e, star_e in around.items():
         eset = set(e)
         nodes = []
         arcs = []
-        for s in mc.complex.vertex_star[e[0]]:
-            if e[1] not in s:
-                continue
+        for s in star_e:
             if len(s) == 3:
                 nodes.append(next(x for x in s if x not in eset))
             elif len(s) == 4:
                 cc, dd = [x for x in s if x not in eset]
-                fresh = MetricComplex(mc.complex, mc.lengths)
-                arcs.append(Arc(cc, dd, dihedral_angle(fresh, s, e), tag=s))
+                arcs.append(Arc(cc, dd, dihedral_angle(mc, s, e), tag=s))
         length, cycle = shortest_cycle(MetricGraph(tuple(nodes), tuple(arcs)))
         if length < TWO_PI - EPS_ANG:
             items.append(CheckItem(f"edge {e}", length, TWO_PI, witness=cycle))
@@ -827,10 +832,10 @@ def test_degenerate_dihedrals_are_never_memoised():
         message = f"degenerate dihedral in {tet} along (0, 1)"
         with pytest.raises(MetricError, match=re.escape(message)):
             dihedral_angle(mc, tet, (0, 1))
-    # the same two tetrahedra with unit edges: the second call is a hit
+    # the same two tetrahedra with unit edges: each call computes the same bits
     unit = MetricComplex(c, {e: 1.0 for e in c.k_simplices(1)})
     first = dihedral_angle(unit, (0, 1, 2, 3), (0, 1))
-    assert dihedral_angle(unit, (0, 1, 4, 5), (0, 1)) is first
+    assert dihedral_angle(unit, (0, 1, 4, 5), (0, 1)).hex() == first.hex()
     assert first == dihedral_angle(simplex_complex(3), (0, 1, 2, 3), (0, 1))
 
 
@@ -988,10 +993,12 @@ def random_generator_lists():
 
 def test_incidence_queries_match_brute_force_scans():
     """Stars, links, link graphs, angle sums, facets and free faces of
-    random complexes with unit edges equal scans of every simplex."""
+    random complexes and box_complex's numpy.int64 ids, with unit edges,
+    equal scans of every simplex; ==, hash and in agree with the
+    frozenset's, and a query that is no simplex raises the same message."""
     corner, dihedral = math.acos(0.5), math.acos(1.0 / 3.0)
-    for gens in random_generator_lists():
-        c = build_complex(gens)
+    previous = build_complex([])
+    for c in [*map(build_complex, random_generator_lists()), box_complex(2, 1, 1).complex]:
         mc = MetricComplex(c, {e: 1.0 for e in c.k_simplices(1)})
         ordered = sorted(c.simplices, key=lambda s: (len(s), s))
         assert list(c) == ordered
@@ -1001,8 +1008,28 @@ def test_incidence_queries_match_brute_force_scans():
         for k in range(-1, c.dim + 2):
             assert c.k_simplices(k) == [s for s in ordered if len(s) == k + 1]
 
+        plain = build_complex([tuple(map(int, s)) for s in ordered], name="plain")
+        for other in (plain, previous):
+            assert (c == other) == (c.simplices == other.simplices)
+            assert c != other or hash(c) == hash(other)
+        assert c == plain
+        previous = c
+        top = int(max(c.vertices, default=0))
+        for s in [*ordered, *plain, *(s[::-1] for s in ordered), (), (99,), (0, 99),
+                  (top + 1,), (2**63,), (1.5,), ("3",), tuple(c.vertices)]:
+            assert (s in c) == (list(s) in c) == (s in c.simplices)
+        for s, message in [((99,), "(99,) is not a simplex of the complex"),
+                           ((0, 99), "(0, 99) is not a simplex of the complex"),
+                           ((), "() is not a simplex of the complex"),
+                           ((3, 3), "repeated vertex 3 in simplex (3, 3)")]:
+            for query in (c.open_star, lambda s: star(c, s), lambda s: link(c, s)):
+                with pytest.raises(PfcError) as err:
+                    query(s)
+                assert str(err.value) == message
+
         for s in ordered:
             cofaces = [t for t in ordered if set(s) <= set(t)]
+            assert c.open_star(s) == cofaces
             assert star(c, s).simplices == build_complex(cofaces).simplices
             assert link(c, s).simplices == {
                 t for t in ordered if not set(s) & set(t)
@@ -1010,7 +1037,6 @@ def test_incidence_queries_match_brute_force_scans():
 
         for v in c.vertices:
             at_v = [t for t in ordered if v in t]
-            assert c.vertex_star[v] == tuple(at_v)
             tris = [t for t in at_v if len(t) == 3]
             assert angle_sum_at_vertex(mc, v) == \
                 pytest.approx(len(tris) * corner)

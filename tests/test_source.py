@@ -55,16 +55,32 @@ def test_no_orphaned_private_definitions():
 
 
 def test_only_complex_and_midpoint_subdivision_read_the_frozenset():
-    """Batch membership is Complex._ids' row search, so no batch path
-    builds the whole complex's frozenset.  The cached `simplices` serves
-    Complex's own equality, hashing and single queries, and
+    """Membership is Complex._ids' row search, equality compares the cell
+    lists and stars walk the cell index, so no library path builds the
+    whole complex's frozenset but the `simplices` property itself and
     midpoint_subdivision, whose lengths are filled in its order."""
-    allowed = {("complexes.py", "Complex"), ("builders.py", "midpoint_subdivision")}
     readers = [f"{name}: line {n.lineno}"
                for name, tree in parsed_modules().items() for node in tree.body
-               if (name, getattr(node, "name", None)) not in allowed
+               if (name, getattr(node, "name", None)) != ("builders.py", "midpoint_subdivision")
                for n in ast.walk(node) if isinstance(n, ast.Attribute) and n.attr == "simplices"]
     assert readers == []
+
+
+def test_one_incidence_structure_and_one_angle_memo():
+    """The cell index is the only incidence structure of a complex and the
+    link table the only place angles are memoised: no module names a
+    vertex star or a dihedral memo, and open_star walks the coface arrays
+    without the membership records, whose cost one query should not pay."""
+    modules = parsed_modules()
+    named = [f"{name}: {n}" for name, tree in modules.items()
+             for n in ("vertex_star", "_dihedrals")
+             if references(tree)[n] or any(getattr(d, "name", None) == n for d in ast.walk(tree))]
+    assert named == []
+    complex_class = next(node for node in modules["complexes.py"].body
+                         if isinstance(node, ast.ClassDef) and node.name == "Complex")
+    open_star = next(node for node in complex_class.body
+                     if isinstance(node, ast.FunctionDef) and node.name == "open_star")
+    assert references(open_star)["_ids"] == references(open_star)["_records"] == 0
 
 
 def test_parse_checks_records_one_at_a_time_only_in_the_rescan():
