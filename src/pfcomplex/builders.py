@@ -287,7 +287,7 @@ def glue_double_tori(base: MetricComplex, interfaces,
              for t, (_, interface), shift in zip(marked, parts, shifts)]
     glued = metric_quotient(union, pairs)[0]
     c = Complex.from_rows(glued.complex.vertices, glued.complex.rows, name)
-    return MetricComplex(c, glued.lengths)
+    return MetricComplex(c, edge_lengths=glued.edge_lengths, edge_order=glued.edge_order)
 
 
 # ---------------------------------------------------------------------------

@@ -234,7 +234,8 @@ class Complex:
         s's first vertex the coface arrays climb through the prefixes of s,
         then give its cofaces level by level; PfcError if s is no simplex."""
         s, ptr, cob, cells = canonical_simplex(s), self.index.ptr, self.index.cob, self.cells
-        i = bisect_left(self.vertices, s[0]) if s else len(self.vertices)
+        ints = all(isinstance(v, (int, np.integer)) for v in s)  # 1.0 == 1 is no vertex 1
+        i = bisect_left(self.vertices, s[0]) if s and ints else len(self.vertices)
         level = [i] if i < len(self.vertices) and cells[i] == s[:1] else []
         for k in range(2, len(s) + 1):  # the coface of s[:k - 1] that is s[:k]
             level = [t for f in level for t in cob[ptr[f]:ptr[f + 1]].tolist() if cells[t] == s[:k]]
@@ -262,6 +263,36 @@ def _distinct(a: np.ndarray) -> np.ndarray:
     step[:1] = True
     np.not_equal(a[1:], a[:-1], out=step[1:])
     return a[step]
+
+
+def _groups(a: np.ndarray) -> tuple:
+    """The index of each distinct value's first entry in a 1-D array, the
+    values ascending, and each entry's group among them: np.unique's
+    return_index and return_inverse without its wrapper (nan is never equal)."""
+    order = np.argsort(a, kind="stable")
+    step = np.empty(len(a), bool)
+    step[:1] = True
+    np.not_equal(a[order[1:]], a[order[:-1]], out=step[1:])
+    inverse = np.empty(len(a), np.int64)
+    inverse[order] = step.cumsum() - 1
+    return order[step], inverse
+
+
+def _row_keys(columns, base: int, out: np.ndarray) -> np.ndarray:
+    """Write into out, and return, one int64 per row of the given columns
+    of values below base, ascending with the rows in lexicographic order:
+    mixed radix, made dense before it could overflow (so the row count
+    times base must stay below 2**62)."""
+    columns, top = iter(columns), base  # out < top
+    out[:] = next(columns)
+    for col in columns:
+        if top > 2**62 // base:
+            first, dense = _groups(out)
+            out[:], top = dense, len(first)
+        out *= base
+        out += col
+        top *= base
+    return out
 
 
 def _closure(arity: list, vals: np.ndarray):
@@ -476,12 +507,13 @@ def quotient(c: Complex, pairs: Sequence) -> QuotientResult:
     out = []
     for r in c.rows:
         img = np.sort(new[r], axis=1)
-        order = np.lexsort(img.T[::-1])
-        img = img[order]
+        key = _row_keys(img.T, len(reps), np.empty(len(img), np.int64))
+        order = np.argsort(key, kind="stable")
+        img, key = img[order], key[order]
         # a row can fail only if it degenerates or shares its image with
         # another; step[i] says rows i - 1 and i differ, true at either end
         step = np.ones(len(img) + 1, bool)
-        step[1:-1] = (img[1:] != img[:-1]).any(axis=1)
+        step[1:-1] = key[1:] != key[:-1]
         first = step[:-1]
         suspect = (img[:, 1:] == img[:, :-1]).any(axis=1) | ~(first & step[1:])
         images = {}  # image of a suspect -> the first suspect landing on it

@@ -15,14 +15,18 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
-from itertools import combinations
+from bisect import bisect_left
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import combinations, count, repeat
 from typing import NamedTuple
 
 import numpy as np
 
 from .complexes import (
     Complex,
+    _groups,
+    _row_keys,
     canonical_simplex,
     disjoint_union,
     euler_characteristic,
@@ -49,20 +53,73 @@ def edge_key(u: int, v: int) -> tuple:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
 class MetricComplex:
-    """A complex with an edge-length map (abstract length units)."""
+    """A complex with edge lengths (abstract length units), held as a dict
+    by edge tuple and as arrays over the edge rows (complex.rows[1]):
+    edge_lengths, one float64 per edge (nan where it has none), and
+    edge_order, the ids of the edges that have one in the dict's order.
+    Either form is built from the other on first read.  Metrics compare
+    and hash as their complexes do."""
 
-    complex: Complex
-    lengths: dict = field(compare=False)
-    _links: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
+    def __init__(self, complex: Complex, lengths: dict | None = None,
+                 edge_lengths: np.ndarray | None = None, edge_order: np.ndarray | None = None):
+        self.complex, self._links = complex, {}
+        if lengths is not None or edge_lengths is None:
+            self.lengths = {} if lengths is None else lengths
+        if edge_lengths is not None:
+            self._edges = edge_lengths, edge_order
+
+    def __eq__(self, other):
+        return isinstance(other, MetricComplex) and self.complex == other.complex
+
+    def __hash__(self):
+        return hash(self.complex)
+
+    @cached_property
+    def lengths(self) -> dict:
+        """The lengths by edge tuple, in edge_order."""
+        edges, order = self.complex.k_simplices(1), self.edge_order.tolist()
+        return dict(zip(map(edges.__getitem__, order), self.edge_lengths[order].tolist()))
+
+    @cached_property
+    def _edges(self) -> tuple:
+        """(edge_lengths, edge_order) from the dict; a key that is no edge is dropped."""
+        c, n = self.complex, len(self.lengths)
+        edges = zip(*np.array(c.vertices, np.int64)[c.rows[1]].T.tolist()) if c.dim > 0 else ()
+        ids = dict(zip(edges, count()))
+        at = np.fromiter(map(ids.get, self.lengths, repeat(-1)), np.int64, n)  # -1: no edge
+        out = np.full(len(ids), math.nan)
+        out[at[at >= 0]] = np.fromiter(self.lengths.values(), float, n)[at >= 0]
+        return out, at[at >= 0]
+
+    @property
+    def edge_lengths(self) -> np.ndarray:
+        return self._edges[0]
+
+    @property
+    def edge_order(self) -> np.ndarray:
+        return self._edges[1]
+
+    @cached_property
+    def length_codes(self) -> tuple:
+        """The distinct edge lengths, ascending, and each edge's index among
+        them, its code: equal floats share a code; nan never does."""
+        first, codes = _groups(self.edge_lengths)
+        return self.edge_lengths[first], codes
 
     def length(self, u: int, v: int) -> float:
-        try:
-            return self.lengths[edge_key(u, v)]
-        except KeyError:
-            raise MetricError(f"edge {edge_key(u, v)} has no length") from None
+        """The length of the edge {u, v}: from the dict, or from a search of
+        the edge rows while a metric built from arrays has no dict yet."""
+        e = edge_key(u, v)
+        if "lengths" in self.__dict__:
+            if e in self.lengths:
+                return self.lengths[e]
+        else:  # bisect the edge cells, after the vertices; nan is no length
+            cells, lo, n = self.complex.cells, len(self.complex.vertices), len(self.edge_lengths)
+            k = bisect_left(cells, e, lo, lo + n)
+            if k < lo + n and cells[k] == e and not math.isnan(l := self.edge_lengths[k - lo].item()):
+                return l
+        raise MetricError(f"edge {e} has no length")
 
     def simplex_lengths(self, s) -> list:
         """Edge lengths of a simplex in canonical vertex-pair order."""
@@ -88,11 +145,11 @@ def _realizable_rows(lengths: np.ndarray, dim: int) -> np.ndarray:
     tolerances overflow float64 are rejected.
     """
     n = dim + 1
-    i, j = np.triu_indices(n, 1)
+    i, j = np.array([*combinations(range(1, n + 1), 2)], np.int64).reshape(-1, 2).T
     with np.errstate(over="ignore", invalid="ignore"):
         cm = np.ones((len(lengths), n + 1, n + 1))
-        cm[:, range(n + 1), range(n + 1)] = 0.0
-        cm[:, i + 1, j + 1] = cm[:, j + 1, i + 1] = lengths * lengths
+        cm.reshape(-1, (n + 1) ** 2)[:, ::n + 2] = 0.0  # the diagonals
+        cm[:, i, j] = cm[:, j, i] = lengths * lengths
         scale = cm[:, 1:, 1:].max(axis=(1, 2))
         ok = (scale > 0) & ((lengths > 0) & (lengths < math.inf)).all(axis=1)
         for m in range(3, n + 1):
@@ -176,25 +233,24 @@ def dihedral_angle(mc: MetricComplex, tet, edge) -> float:
 
 
 def validate_metric(mc: MetricComplex) -> None:
-    """Raise MetricError unless every simplex is flatly realizable.  The
-    lengths are read once per edge; each simplex's are gathered by edge id."""
+    """Raise MetricError unless every simplex is flatly realizable.  Each
+    simplex's lengths are gathered by edge id, and each distinct row of
+    length codes is tested once, on the lengths of its first simplex."""
     c = mc.complex
     if c.dim < 1:
         return
-    n, ids = len(c.vertices), np.array(c.vertices, np.int64)
-    # edge tuples for the lookups only: a complex builds its cells on first use
-    got = list(map(mc.lengths.get, zip(*ids[c.rows[1]].T.tolist())))
-    lengths = np.array(got, dtype=float)  # nan where an edge has none
+    lengths, (values, codes) = mc.edge_lengths, mc.length_codes
     ok = (lengths > 0) & (lengths < math.inf)
     if not ok.all():
-        e, l = c.k_simplices(1)[np.argmin(ok)], got[np.argmin(ok)]
-        raise MetricError(f"edge {e} has no length" if l is None else
-                          f"edge {e} has length {l}, not finite positive")
+        e = c.k_simplices(1)[np.argmin(ok)]
+        raise MetricError(f"edge {e} has length {mc.length(*e)}, not finite positive")
+    n = len(c.vertices)
     keys = c.rows[1][:, 0] * n + c.rows[1][:, 1]
     for k in range(2, c.dim + 1):
         i, j = zip(*combinations(range(k + 1), 2))  # vertex pairs in canonical order
-        ends = c.rows[k][:, i] * n + c.rows[k][:, j]
-        bad = np.flatnonzero(~_realizable_rows(lengths[np.searchsorted(keys, ends)], k))
+        eids = np.searchsorted(keys, c.rows[k][:, i] * n + c.rows[k][:, j])
+        first, inverse = _groups(_row_keys(codes[eids].T, len(values), np.empty(len(eids), np.int64)))
+        bad = np.flatnonzero(~_realizable_rows(lengths[eids[first]], k)[inverse])
         if bad.size:
             raise MetricError(
                 f"simplex {c.k_simplices(k)[bad[0]]} is not flatly realizable")
@@ -253,9 +309,7 @@ def _link_table(mc: MetricComplex, d: int) -> tuple:
         c, n = mc.complex, len(mc.complex.vertices)
         owners, edges = c.k_simplices(d - 1), c.k_simplices(1)
         keys = c.rows[1][:, 0] * n + c.rows[1][:, 1] if edges else np.zeros(0, np.int64)
-        codes = {}  # lengths equal as dict keys share a code
-        lcode = np.array([codes.setdefault(mc.lengths.get(e), len(codes)) for e in edges], np.int64)
-        base, parts = len(codes) + 1, []
+        (values, lcode), parts = mc.length_codes, []
         for m in range(d, d + 2):
             rows = c.rows[m] if m <= c.dim else np.zeros((0, m + 1), np.int64)
             # each cell once per (d - 1)-face, its vertices reordered face first
@@ -274,14 +328,10 @@ def _link_table(mc: MetricComplex, d: int) -> tuple:
                 continue
             block = np.empty((len(order), 4), np.int64)
             block[:, 0] = order // len(combos) + sum(map(len, c.rows[:m]))
-            block[:, 1:3], code = ranks, block[:, 3]
-            code[:] = 0  # mixed radix, made dense before it could overflow
-            for read in zip(*([pairs[tuple(sorted(p))] for p in combinations(k, 2)]
-                              for k in combos)):
-                if code.max(initial=0) >= 2**62 // base:
-                    code[:] = np.unique(code, return_inverse=True)[1]
-                code *= base
-                code += lcode[eids[:, read]].ravel()[order]
+            block[:, 1:3] = ranks
+            _row_keys((lcode[eids[:, read]].ravel()[order] for read in zip(
+                *([pairs[tuple(sorted(p))] for p in combinations(k, 2)] for k in combos))),
+                len(values) + 1, block[:, 3])
             parts.append((ptr.tolist(), block))
         mc._links[d] = dict(zip(owners, range(len(owners)))), *parts, {}
     return mc._links[d]
@@ -634,13 +684,13 @@ def gauss_bonnet_check(mc: MetricComplex) -> CheckReport:
 
 def metric_disjoint_union(first: MetricComplex, *rest: MetricComplex):
     """Disjoint union of metric complexes; returns (union, one vertex shift
-    per part in rest), as disjoint_union does."""
-    c, shifts = disjoint_union(first.complex, *(p.complex for p in rest))
-    lengths = dict(first.lengths)
-    for part, shift in zip(rest, shifts):
-        for (u, v), l in part.lengths.items():
-            lengths[edge_key(shift[u], shift[v])] = l
-    return MetricComplex(c, lengths), shifts
+    per part in rest), as disjoint_union does.  The union's edge rows are
+    the parts' in turn, so its length arrays are theirs, concatenated."""
+    parts = (first, *rest)
+    c, shifts = disjoint_union(*(p.complex for p in parts))
+    starts = np.cumsum([0, *(len(p.edge_lengths) for p in parts)]).tolist()
+    return MetricComplex(c, edge_lengths=np.concatenate([p.edge_lengths for p in parts]),
+                         edge_order=np.concatenate([p.edge_order + s for p, s in zip(parts, starts)])), shifts
 
 
 def metric_quotient(mc: MetricComplex, pairs):
@@ -648,17 +698,26 @@ def metric_quotient(mc: MetricComplex, pairs):
 
     Identified edges must agree in length within EPS_LEN relative tolerance;
     otherwise the identification is not an isometry and a MetricError names
-    the offending edge pair.
+    the offending edge pair.  Edges are visited in edge_order: each image
+    edge keeps the length of its first visited preimage, and the first
+    visited edge that differs from its image's length raises.
     """
     res = quotient(mc.complex, pairs)
-    vm = res.vertex_map
-    lengths = {}
-    for (u, v), l in mc.lengths.items():
-        key = edge_key(vm[u], vm[v])
-        old = lengths.get(key)
-        if old is not None and abs(old - l) > EPS_LEN * max(1.0, abs(old)):
-            raise MetricError(
-                f"edges identified onto {key} have different lengths "
-                f"{old} vs {l}")
-        lengths[key] = l if old is None else old
-    return MetricComplex(res.complex, lengths), vm
+    c, vm, order = res.complex, res.vertex_map, mc.edge_order
+    if c.dim < 1:
+        return MetricComplex(c, edge_lengths=np.zeros(0), edge_order=order), vm
+    new = np.fromiter(vm.values(), np.int64, len(vm))  # in the order of the old vertices
+    n, ends = len(c.vertices), np.sort(new[mc.complex.rows[1]], axis=1)
+    img = np.searchsorted(c.rows[1][:, 0] * n + c.rows[1][:, 1], ends[:, 0] * n + ends[:, 1])[order]
+    got = mc.edge_lengths[order]
+    first, image = _groups(img)  # each image's first visit, each visit's image
+    old = got[first][image]
+    bad = np.abs(old - got) > EPS_LEN * np.maximum(1.0, np.abs(old))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise MetricError(
+            f"edges identified onto {c.k_simplices(1)[img[i]]} have different lengths "
+            f"{old[i].item()} vs {got[i].item()}")
+    out = np.full(len(c.rows[1]), math.nan)
+    out[img[first]] = got[first]
+    return MetricComplex(c, edge_lengths=out, edge_order=img[np.sort(first)]), vm

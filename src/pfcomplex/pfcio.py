@@ -39,8 +39,13 @@ class PfcSyntaxError(PfcError):
 
 
 def serialize(mc: MetricComplex) -> str:
-    """Emit a metric complex (or a bare complex wrapped with no lengths);
-    a name that would not parse back unchanged is a PfcError."""
+    """Emit a metric complex, or a bare complex, which has no lengths; a
+    name that would not parse back unchanged is a PfcError."""
+    if isinstance(mc, Complex):
+        mc = MetricComplex(mc)
+    if not isinstance(mc, MetricComplex):
+        raise PfcError(f"cannot serialize a value of type {type(mc).__name__}: "
+                       f"expected a MetricComplex or a Complex")
     c = mc.complex
     n = (c.vertices[-1] + 1) if c.vertices else 0
     lines = [f"pfc {FORMAT_VERSION}"]
@@ -53,10 +58,9 @@ def serialize(mc: MetricComplex) -> str:
     lines.append(f"vertices {n}")
     for s in c.facets():
         lines.append("s " + " ".join(str(v) for v in s))
-    for e in c.k_simplices(1):
-        l = mc.lengths.get(e)
-        if l is not None:
-            lines.append(f"l {e[0]} {e[1]} {repr(float(l))}")
+    for e, l in zip(c.k_simplices(1), mc.edge_lengths.tolist()):
+        if not math.isnan(l):  # nan: the edge has no length
+            lines.append(f"l {e[0]} {e[1]} {l!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -124,7 +128,6 @@ def parse(text: str, validate: bool = True) -> MetricComplex:
     if dim_declared is not None and c.dim > dim_declared:
         raise PfcSyntaxError(
             f"simplices of dimension {c.dim} exceed declared dim {dim_declared}")
-    mc = MetricComplex(c, lengths)
     if lengths:
         try:
             ends = np.fromiter(chain(us, vs), np.int64, 2 * len(us)).reshape(2, -1)
@@ -145,9 +148,13 @@ def parse(text: str, validate: bool = True) -> MetricComplex:
             raise PfcError(
                 f"partial metric: {len(edges) - len(lengths)} edges lack lengths, "
                 f"first {c.k_simplices(1)[first]}")
+        edge_lengths = np.empty_like(x)
+        edge_lengths[eid] = x
+        mc = MetricComplex(c, lengths, edge_lengths=edge_lengths, edge_order=eid)
         if validate:
             validate_metric(mc)
-    return mc
+        return mc
+    return MetricComplex(c, lengths)
 
 
 def _raise_first_bad_record(lines: list, head: int) -> None:

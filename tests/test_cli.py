@@ -41,6 +41,7 @@ def test_serialize_solid_triangle_is_seven_lines():
 def test_serialize_empty_complex():
     text = serialize(MetricComplex(build_complex([]), {}))
     assert text.splitlines() == ["pfc 1", "dim 0", "vertices 0"]
+    assert serialize(build_complex([])) == text  # a bare complex has no lengths
 
 
 def test_round_trip_torus3_byte_identical():
@@ -53,6 +54,9 @@ def test_serialize_rejects_names_parse_cannot_carry(name):
     mc = MetricComplex(build_complex([(0, 1)], name=name), {(0, 1): 1.0})
     with pytest.raises(PfcError, match=r"cannot be written"):
         serialize(mc)
+    with pytest.raises(PfcError, match=r"^cannot serialize a value of type int: expected "
+                                       r"a MetricComplex or a Complex$"):
+        serialize(1)
 
 
 def test_parse_applies_face_closure():

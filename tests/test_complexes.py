@@ -19,7 +19,7 @@ from pfcomplex import (
     star,
 )
 from pfcomplex.builders import _far_pairs, _simplex_pair, box_complex
-from pfcomplex.complexes import canonical_simplex, faces_of
+from pfcomplex.complexes import _groups, _row_keys, canonical_simplex, faces_of
 from pfcomplex.homology import betti
 from pfcomplex.pfcio import parse, serialize
 from test_metric import random_generator_lists
@@ -102,6 +102,25 @@ def test_closure_equals_the_union_of_faces():
         else:
             faces = set().union(*map(faces_of, map(canonical_simplex, gens)))
             assert build_complex(gens).simplices == faces
+
+
+def test_row_keys_order_rows_as_lexsort_does():
+    """One int64 key per row ascends with the rows in lexicographic order
+    and is equal exactly for equal rows, also where the mixed radix is made
+    dense between columns (base 2**40, five columns); _groups gives each
+    distinct key's first row and each row's group, as np.unique does."""
+    rng = np.random.default_rng(5)
+    for base, width in [(1, 3), (3, 4), (2**40, 5)]:
+        rows = rng.integers(0, base, (400, width))
+        rows[200:] = rows[rng.integers(0, 200, 200)]  # repeated rows
+        key = _row_keys(rows.T, base, np.empty(len(rows), np.int64))
+        order = np.lexsort(rows.T[::-1])
+        assert (np.diff(key[order]) >= 0).all()
+        same = (rows[order][1:] == rows[order][:-1]).all(axis=1)
+        assert (same == (key[order][1:] == key[order][:-1])).all()
+        first, inverse = _groups(key)
+        _, want_first, want_inverse = np.unique(key, return_index=True, return_inverse=True)
+        assert (first == want_first).all() and (inverse == want_inverse).all()
 
 
 def test_vertex_ids_are_the_callers_first_objects():

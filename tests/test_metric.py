@@ -5,6 +5,7 @@ import math
 import random
 import re
 import tracemalloc
+from collections import Counter
 from itertools import combinations
 from pathlib import Path
 
@@ -47,7 +48,8 @@ from pfcomplex import (
     validate_metric,
     vertex_link_graph,
 )
-from pfcomplex.builders import box_complex
+from pfcomplex import builders
+from pfcomplex.builders import _simplex_pair, box_complex, gcify
 from pfcomplex.metric import (
     DEFAULT_DELTA,
     EPS_ANG,
@@ -57,7 +59,11 @@ from pfcomplex.metric import (
     _link_walk,
     _min_eccentricities,
     angle_sum_at_vertex,
+    edge_key,
+    metric_quotient,
 )
+
+import metric_oracle
 
 TWO_PI = 2 * math.pi
 EXAMPLE1 = Path(__file__).resolve().parent.parent / "fixtures" / "example1.pfc"
@@ -1021,6 +1027,8 @@ def test_incidence_queries_match_brute_force_scans():
         for s, message in [((99,), "(99,) is not a simplex of the complex"),
                            ((0, 99), "(0, 99) is not a simplex of the complex"),
                            ((), "() is not a simplex of the complex"),
+                           ((1.0,), "(1.0,) is not a simplex of the complex"),
+                           ((0, 1.0), "(0, 1.0) is not a simplex of the complex"),
                            ((3, 3), "repeated vertex 3 in simplex (3, 3)")]:
             for query in (c.open_star, lambda s: star(c, s), lambda s: link(c, s)):
                 with pytest.raises(PfcError) as err:
@@ -1216,3 +1224,119 @@ def test_links_holding_a_bad_arc_raise_and_no_other():
     unit = dihedral_angle(simplex_complex(3), (0, 1, 2, 3), (0, 1))
     assert [a.weight for a in edge_link_graph(mc, (8, 9)).arcs] == [unit]
     assert_links_match_open_star_walks(mc)
+
+
+# --- array-based gluing and validation against the dict loops -------------
+
+def glue_outcome(glue, validate, mc, pairs):
+    """What a metric gluing makes of a metric: the cells, the vertex map,
+    the kept lengths' bits in `lengths` order and the result's validation
+    error, if any; or the gluing's error class and message."""
+    try:
+        q, vm = glue(mc, pairs)
+    except PfcError as e:
+        return type(e), str(e)
+    return (q.complex.cells, vm, [(e, l.hex()) for e, l in q.lengths.items()],
+            validation_outcome(validate, q))
+
+
+def validation_outcome(validate, mc):
+    try:
+        validate(mc)
+    except PfcError as e:
+        return type(e), str(e)
+    return None
+
+
+def random_pairs(rng, c):
+    """One to three identifications of random equal-sized simplices, most
+    of them disjoint, each matched to a random vertex order of its partner."""
+    pairs = []
+    for _ in range(rng.randint(1, 3)):
+        k = rng.randint(0, c.dim)
+        s = rng.choice(c.k_simplices(k))
+        disjoint = [t for t in c.k_simplices(k) if not set(s) & set(t)]
+        t = list(rng.choice(disjoint if disjoint and rng.random() < 0.9 else c.k_simplices(k)))
+        rng.shuffle(t)
+        pairs.append(_simplex_pair(s, t))
+    return pairs
+
+
+def test_metric_quotient_equals_the_dict_loop_on_random_gluings():
+    """Random gluings of complexes whose lengths, inserted in shuffled
+    order, are drawn from values equal within EPS_LEN, apart by more, or
+    far apart: metric_quotient keeps the bits and the `lengths` order of
+    the dict loop and raises its first error, and so does a second gluing
+    of each result, arrays on one side and the loop's dict on the other."""
+    rng = random.Random(2718)
+    values = (1.0, 1.0 + 4e-10, 1.0 - 4e-10, 1.0 + 3e-9, 1.5, 2.0)
+    seen = Counter()
+    for _ in range(300):
+        c = build_complex([rng.sample(range(5 * p, 5 * p + 5), rng.choice((2, 3, 4)))
+                           for p in range(4) for _ in range(rng.randint(1, 2))])
+        edges = c.k_simplices(1)
+        rng.shuffle(edges)
+        lengths = {e: rng.choice(values) for e in edges}
+        ours, theirs = MetricComplex(c, dict(lengths)), MetricComplex(c, dict(lengths))
+        for _ in range(2):
+            pairs = random_pairs(rng, ours.complex)
+            want = glue_outcome(metric_oracle.metric_quotient, metric_oracle.validate_metric,
+                                theirs, pairs)
+            assert glue_outcome(metric_quotient, validate_metric, ours, pairs) == want
+            if isinstance(want[0], type):
+                seen["isometry error" if "different lengths" in want[1] else "other error"] += 1
+                break
+            images = {}
+            for (u, v), l in theirs.lengths.items():
+                images.setdefault(edge_key(want[1][u], want[1][v]), set()).add(l)
+            seen["unequal lengths merged"] += any(len(ls) > 1 for ls in images.values())
+            seen["glued"] += 1
+            ours = metric_quotient(ours, pairs)[0]
+            theirs = metric_oracle.metric_quotient(theirs, pairs)[0]
+    assert len(seen) == 4 and min(seen.values()) >= 10, seen
+
+
+@pytest.mark.parametrize("name", ["simplex3", "box211"])
+def test_gcify_quotients_equal_the_dict_loop(name, monkeypatch):
+    """Every metric_quotient call of gcify, self-identifications of free
+    faces included, gives the dict loop's outcome on the same lengths."""
+    mc = simplex_complex(3) if name == "simplex3" else box_complex(2, 1, 1)
+    calls = []
+
+    def compared(work, pairs):
+        want = glue_outcome(metric_oracle.metric_quotient, metric_oracle.validate_metric,
+                            MetricComplex(work.complex, dict(work.lengths)), pairs)
+        assert glue_outcome(metric_quotient, validate_metric, work, pairs) == want
+        calls.append(want)
+        return metric_quotient(work, pairs)
+
+    monkeypatch.setattr(builders, "metric_quotient", compared)
+    gcify(mc)
+    assert len(calls) >= 2
+
+
+def test_validate_metric_equals_the_per_simplex_scan_on_mutated_metrics():
+    """Builder metrics, whose simplices share few distinct length rows, with
+    up to three edges deleted, made nonpositive, nan or infinite, copied
+    from another edge or rescaled: validate_metric names the first bad
+    edge or simplex of a per-simplex `realizable` scan, with its message."""
+    rng = random.Random(1618)
+    bases = [box_complex(2, 1, 1), simplex_complex(3), flat_torus2(3), example1_interface_complex()]
+    seen = Counter()
+    for _ in range(200):
+        base = rng.choice(bases)
+        lengths, edges = dict(base.lengths), base.complex.k_simplices(1)
+        for e in rng.sample(edges, rng.randint(0, 3)):
+            op = rng.randrange(6)
+            if op == 0:
+                del lengths[e]
+            elif op == 1:
+                lengths[e] = rng.choice((0.0, -1.0, math.nan, math.inf))
+            elif op == 2:
+                lengths[e] = lengths.get(rng.choice(edges), 1.0)
+            else:
+                lengths[e] *= rng.choice((0.25, 1.7, 3.0, 1 + 1e-12))
+        want = validation_outcome(metric_oracle.validate_metric, MetricComplex(base.complex, lengths))
+        assert validation_outcome(validate_metric, MetricComplex(base.complex, lengths)) == want
+        seen[want and want[1].split()[-1]] += 1
+    assert len(seen) == 4 and min(seen.values()) >= 10, seen

@@ -112,3 +112,20 @@ def test_extendability_check_batches_its_eccentricities():
                  for name in ("_adjacency", "_dijkstra")}
     assert signature == {"_adjacency": (["g"], []),
                          "_dijkstra": (["adj", "source", "skip_arc"], [None])}
+
+
+def test_gluing_and_checking_read_the_edge_length_arrays():
+    """Union, quotient, validation, the link table and serialize read a
+    metric's edge_lengths and length_codes, never the dict view `lengths`;
+    the quotient sorts each dimension's image rows by one int64 key per row,
+    with no np.lexsort."""
+    modules = parsed_modules()
+    defs = {(name, node.name): node for name, tree in modules.items()
+            for node in tree.body if isinstance(node, ast.FunctionDef)}
+    readers = [f"{name}: {func}" for name, func in [
+        ("metric.py", "metric_disjoint_union"), ("metric.py", "metric_quotient"),
+        ("metric.py", "validate_metric"), ("metric.py", "_link_table"), ("pfcio.py", "serialize")]
+        if any(isinstance(n, ast.Attribute) and n.attr == "lengths"
+               for n in ast.walk(defs[name, func]))]
+    assert readers == []
+    assert references(defs["complexes.py", "quotient"])["lexsort"] == 0
