@@ -17,7 +17,8 @@ refuses non-simplicial or non-isometric gluings instead of repairing them.
 from __future__ import annotations
 
 import math
-from itertools import chain, combinations, permutations, product
+import operator
+from itertools import combinations, compress, count, permutations, product
 from typing import NamedTuple
 
 import numpy as np
@@ -25,6 +26,7 @@ import numpy as np
 from .complexes import (
     Complex,
     QuotientDegeneracyError,
+    _row_keys,
     build_complex,
     canonical_simplex,
     collapse_core,
@@ -38,6 +40,7 @@ from .metric import (
     MetricComplex,
     MetricError,
     _adjacency,
+    _edge_ids,
     cat0_two_complex_check,
     edge_key,
     embed_simplex,
@@ -55,10 +58,19 @@ _GCIFY_ROUNDS = 6  # midpoint subdivisions before gcify gives up
 # simplices and grids
 
 
+def _check_counts(least: int, message: str, **counts) -> None:
+    """PfcError unless every count is an integer of at least `least`: one
+    naming the first count that is no integer, else `message`."""
+    for name, x in counts.items():
+        if not isinstance(x, (int, np.integer)):
+            raise PfcError(f"{name} must be an integer, got {x!r}")
+    if min(counts.values()) < least:
+        raise PfcError(message)
+
+
 def simplex_complex(dim: int) -> MetricComplex:
     """The solid dim-simplex with unit edges."""
-    if dim < 0:
-        raise PfcError(f"simplex dimension must be >= 0, got {dim}")
+    _check_counts(0, f"simplex dimension must be >= 0, got {dim}", dim=dim)
     c = build_complex([tuple(range(dim + 1))], name=f"delta{dim}")
     return MetricComplex(c, dict.fromkeys(c.k_simplices(1), 1.0))
 
@@ -103,8 +115,7 @@ def _torus_vid(m, *p):
 
 
 def _flat_torus(dim: int, m: int, shape) -> MetricComplex:
-    if m < 3:
-        raise PfcError(f"torus grid needs m >= 3, got {m}")
+    _check_counts(3, f"torus grid needs m >= 3, got {m}", m=m)
     shape = np.eye(dim) if shape is None else np.asarray(shape, dtype=float)
     if shape.shape != (dim, dim) or not np.isfinite(shape).all():
         raise PfcError(f"lattice must be a finite {dim}x{dim} matrix")
@@ -135,8 +146,7 @@ def flat_torus2(m: int = 3, shape=None) -> MetricComplex:
 
 def box_complex(nx: int, ny: int, nz: int) -> MetricComplex:
     """Freudenthal-triangulated solid box [0,nx] x [0,ny] x [0,nz]."""
-    if min(nx, ny, nz) < 1:
-        raise PfcError(f"box sizes must be >= 1, got nx={nx}, ny={ny}, nz={nz}")
+    _check_counts(1, f"box sizes must be >= 1, got nx={nx}, ny={ny}, nz={nz}", nx=nx, ny=ny, nz=nz)
 
     def vid(i, j, k):
         # numpy ids, whose repr perfbench's box digests hash (ROADMAP item 2)
@@ -431,8 +441,7 @@ def free_group_complex(n: int) -> MetricComplex:
     replaced by a flat Moebius band, whose single boundary circle absorbs
     the wrapped segment.
     """
-    if n < 2:
-        raise PfcError(f"free group rank must be >= 2, got {n}")
+    _check_counts(2, f"free group rank must be >= 2, got {n}", n=n)
     if n == 2:
         return _moebius_variant()
     m = max(3 * (n - 2), 6)
@@ -570,13 +579,18 @@ def midpoint_subdivision(mc: MetricComplex) -> MetricComplex:
     if c.dim > 3:
         raise PfcError("midpoint subdivision implemented for dim <= 3")
     base = (max(c.vertices) + 1) if c.vertices else 0
-    mid = {e: base + i for i, e in enumerate(c.k_simplices(1))}
+    edges = c.k_simplices(1)
+    for e in compress(edges, np.isnan(mc.edge_lengths)):
+        mc.length(*e)  # raises unless the nan was given as the edge's length
+    mid = dict(zip(edges, count(base)))  # an edge's midpoint: base + its id
+    old = dict(zip(count(base), mc.edge_lengths.tolist()))  # an edge's length, by its midpoint
 
     def m(u, v):
         return mid[edge_key(u, v)]
 
     # every simplex is split, faces too: their pieces are faces of the
-    # facets' pieces, and each split records the lengths of its new edges
+    # facets' pieces, and each split records the lengths of its new edges,
+    # in the frozenset's order, which becomes the result's edge_order
     lengths = {}
     generators = []
     for s in c.simplices:
@@ -586,27 +600,26 @@ def midpoint_subdivision(mc: MetricComplex) -> MetricComplex:
             u, v = s
             w = m(u, v)
             generators += [(u, w), (w, v)]
-            lengths[edge_key(u, w)] = lengths[edge_key(w, v)] = \
-                mc.length(u, v) / 2.0
+            lengths[edge_key(u, w)] = lengths[edge_key(w, v)] = old[w] / 2.0
         elif len(s) == 3:
-            generators += _split_triangle(s, m, mc, lengths)
+            generators += _split_triangle(s, m, old, lengths)
         else:
-            generators += _split_tetrahedron(s, m, mc, lengths)
+            generators += _split_tetrahedron(s, m, old, lengths)
     return MetricComplex(build_complex(generators, name=c.name), lengths)
 
 
-def _split_triangle(s, m, mc, lengths):
+def _split_triangle(s, m, old, lengths):
     a, b, c_ = s
     mab, mac, mbc = m(a, b), m(a, c_), m(b, c_)
-    lengths[edge_key(mab, mac)] = mc.length(b, c_) / 2.0
-    lengths[edge_key(mab, mbc)] = mc.length(a, c_) / 2.0
-    lengths[edge_key(mac, mbc)] = mc.length(a, b) / 2.0
+    lengths[edge_key(mab, mac)] = old[mbc] / 2.0
+    lengths[edge_key(mab, mbc)] = old[mac] / 2.0
+    lengths[edge_key(mac, mbc)] = old[mab] / 2.0
     return [(a, mab, mac), (b, mab, mbc), (c_, mac, mbc), (mab, mac, mbc)]
 
 
-def _split_tetrahedron(s, m, mc, lengths):
+def _split_tetrahedron(s, m, old, lengths):
     a, b, c_, d = s
-    pos = dict(zip(s, embed_simplex(mc.simplex_lengths(s), 3)))
+    pos = dict(zip(s, embed_simplex([old[m(u, v)] for u, v in combinations(s, 2)], 3)))
 
     def mid(e):
         return (pos[e[0]] + pos[e[1]]) / 2.0
@@ -655,9 +668,7 @@ def gcify(mc: MetricComplex) -> GcifyResult:
         if identified:
             # nothing left to identify: collapsing is homotopy-preserving
             # and always terminates with zero free faces
-            core, _ = collapse_core(work.complex)
-            work = MetricComplex(core, {e: work.lengths[e]
-                                        for e in core.k_simplices(1)})
+            work = work.restrict(collapse_core(work.complex)[0], work.complex.name)
             continue
         rounds += 1
         if rounds > _GCIFY_ROUNDS:
@@ -711,28 +722,37 @@ def _identification_batch(mc: MetricComplex, frees):
     as they are not adjacent), and they are a face of fa and its declared
     image in fb.
     """
-    nbrs = {v: set() for v in mc.complex.vertices}
-    for u, v in mc.complex.k_simplices(1):
+    c, (values, codes) = mc.complex, mc.length_codes
+    nbrs = {v: set() for v in c.vertices}
+    for u, v in c.k_simplices(1):
         nbrs[u].add(v)
         nbrs[v].add(u)
-    # rounding is monotone, so rounding each edge once keeps sorted keys
-    rounded = {e: round(l, 9) for e, l in mc.lengths.items()}
-
-    def length_key(s):
-        return (len(s),) + tuple(sorted(map(rounded.__getitem__, combinations(s, 2))))
 
     def pollution(s):
         return sum(len(nbrs[v]) for v in s)
 
-    free_key = {p.face: length_key(p.face) for p in frees}
-    sizes = {len(s) for s in free_key}
-    by_key = {}
-    for s in chain.from_iterable(mc.complex.k_simplices(n - 1) for n in sizes):
-        by_key.setdefault(length_key(s), []).append(s)
-    for key in set(free_key.values()):
+    # each edge's code among the rounded lengths: Python's round, once per
+    # distinct length (np.round can round otherwise); rounding is monotone,
+    # so equal rounded lengths are neighbours among the ascending values
+    rounded = [round(x, 9) for x in values.tolist()]
+    code = np.cumsum([0, *map(operator.ne, rounded[1:], rounded)])[codes]
+    faces, free_key, by_key = [p.face for p in frees], {}, {}
+    at = c._ids(faces, PfcError).tolist()
+    for n in {len(s) for s in faces}:
+        # a simplex's key: its size and its edges' codes, sorted, as one int64
+        lo, rows, pairs = c.index.offsets[n - 1], c.rows[n - 1], [*combinations(range(n), 2)]
+        keys = _row_keys(np.sort(code[_edge_ids(c, *rows[:, pairs].T)], axis=0), len(values),
+                         np.empty(len(rows), np.int64)).tolist() if pairs else [0] * len(rows)
+        mine = [i - lo for i in at if lo <= i < lo + len(rows)]
+        cells, wanted = c.k_simplices(n - 1), {keys[i] for i in mine}
+        free_key.update((cells[i], (n, keys[i])) for i in mine)
+        for s, k in zip(cells, keys):
+            if k in wanted:
+                by_key.setdefault((n, k), []).append(s)
+    for group in by_key.values():
         # least-entangled partners first, free or not: fresh free pieces can
         # absorb each other, saving the interior supply for the rest
-        by_key[key].sort(key=lambda s: (pollution(s), s in free_key, s))
+        group.sort(key=lambda s: (pollution(s), s in free_key, s))
 
     claimed = set()
     batch = []
@@ -788,8 +808,7 @@ def genus_surface(n: int, identify_segments: bool = True) -> MetricComplex:
     flat away from the identified vertex, nonpositively curved, without free
     faces, and not a surface: the merged segment lies in four triangles.
     """
-    if n < 2:
-        raise PfcError(f"genus must be >= 2, got {n}")
+    _check_counts(2, f"genus must be >= 2, got {n}", n=n)
     sides = 4 * n
     per_side = 3  # two interior points per side keep the quotient simplicial
     ring = per_side * sides

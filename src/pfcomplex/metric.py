@@ -54,20 +54,25 @@ def edge_key(u: int, v: int) -> tuple:
 
 
 class MetricComplex:
-    """A complex with edge lengths (abstract length units), held as a dict
-    by edge tuple and as arrays over the edge rows (complex.rows[1]):
-    edge_lengths, one float64 per edge (nan where it has none), and
-    edge_order, the ids of the edges that have one in the dict's order.
-    Either form is built from the other on first read.  Metrics compare
-    and hash as their complexes do."""
+    """A complex with edge lengths (abstract length units), held as arrays
+    over the edge rows (complex.rows[1]): edge_lengths, one float64 per
+    edge (nan where it has none), and edge_order, the ids of the edges that
+    have one, in the order they were given.  A mapping of lengths by edge
+    tuple is converted once, on construction; a key that is no edge is
+    dropped.  Metrics compare and hash as their complexes do."""
 
     def __init__(self, complex: Complex, lengths: dict | None = None,
                  edge_lengths: np.ndarray | None = None, edge_order: np.ndarray | None = None):
         self.complex, self._links = complex, {}
-        if lengths is not None or edge_lengths is None:
-            self.lengths = {} if lengths is None else lengths
-        if edge_lengths is not None:
-            self._edges = edge_lengths, edge_order
+        if edge_lengths is None:
+            lengths = lengths or {}
+            edges = zip(*np.array(complex.vertices, np.int64)[complex.rows[1]].T.tolist()) \
+                if complex.dim > 0 else ()
+            ids = dict(zip(edges, count()))
+            at = np.fromiter(map(ids.get, lengths, repeat(-1)), np.int64, len(lengths))  # -1: no edge
+            edge_lengths, edge_order = np.full(len(ids), math.nan), at[at >= 0]
+            edge_lengths[edge_order] = np.fromiter(lengths.values(), float, len(lengths))[at >= 0]
+        self.edge_lengths, self.edge_order = edge_lengths, edge_order
 
     def __eq__(self, other):
         return isinstance(other, MetricComplex) and self.complex == other.complex
@@ -77,28 +82,10 @@ class MetricComplex:
 
     @cached_property
     def lengths(self) -> dict:
-        """The lengths by edge tuple, in edge_order."""
+        """The lengths by edge tuple, in edge_order: a dict built on first
+        read, for callers; writing to it changes no length."""
         edges, order = self.complex.k_simplices(1), self.edge_order.tolist()
         return dict(zip(map(edges.__getitem__, order), self.edge_lengths[order].tolist()))
-
-    @cached_property
-    def _edges(self) -> tuple:
-        """(edge_lengths, edge_order) from the dict; a key that is no edge is dropped."""
-        c, n = self.complex, len(self.lengths)
-        edges = zip(*np.array(c.vertices, np.int64)[c.rows[1]].T.tolist()) if c.dim > 0 else ()
-        ids = dict(zip(edges, count()))
-        at = np.fromiter(map(ids.get, self.lengths, repeat(-1)), np.int64, n)  # -1: no edge
-        out = np.full(len(ids), math.nan)
-        out[at[at >= 0]] = np.fromiter(self.lengths.values(), float, n)[at >= 0]
-        return out, at[at >= 0]
-
-    @property
-    def edge_lengths(self) -> np.ndarray:
-        return self._edges[0]
-
-    @property
-    def edge_order(self) -> np.ndarray:
-        return self._edges[1]
 
     @cached_property
     def length_codes(self) -> tuple:
@@ -108,16 +95,13 @@ class MetricComplex:
         return self.edge_lengths[first], codes
 
     def length(self, u: int, v: int) -> float:
-        """The length of the edge {u, v}: from the dict, or from a search of
-        the edge rows while a metric built from arrays has no dict yet."""
-        e = edge_key(u, v)
-        if "lengths" in self.__dict__:
-            if e in self.lengths:
-                return self.lengths[e]
-        else:  # bisect the edge cells, after the vertices; nan is no length
-            cells, lo, n = self.complex.cells, len(self.complex.vertices), len(self.edge_lengths)
-            k = bisect_left(cells, e, lo, lo + n)
-            if k < lo + n and cells[k] == e and not math.isnan(l := self.edge_lengths[k - lo].item()):
+        """The length of the edge {u, v}, found by a search of the edge
+        cells.  An edge has one exactly when its id is in edge_order, so a
+        nan that was given is returned and a missing length raises."""
+        e, cells, lo = edge_key(u, v), self.complex.cells, len(self.complex.vertices)
+        hi = lo + len(self.edge_lengths)
+        if (k := bisect_left(cells, e, lo, hi)) < hi and cells[k] == e:
+            if (l := self.edge_lengths.item(k - lo)) == l or k - lo in self.edge_order:
                 return l
         raise MetricError(f"edge {e} has no length")
 
@@ -126,8 +110,19 @@ class MetricComplex:
         return [self.length(a, b) for a, b in combinations(s, 2)]
 
     def restrict(self, simplices, name=None) -> "MetricComplex":
+        """The metric on the face closure of some of the complex's simplices:
+        each edge's length gathered by edge id, those with one in id order."""
         sub = self.complex.subcomplex(simplices, name=name)
-        return MetricComplex(sub, {e: self.lengths[e] for e in sub.k_simplices(1)})
+        ranks = np.searchsorted(np.array(self.complex.vertices, np.int64), np.array(sub.vertices, np.int64))
+        eids = _edge_ids(self.complex, *ranks[sub.rows[1]].T) if sub.dim > 0 else np.zeros(0, np.int64)
+        return MetricComplex(sub, edge_lengths=self.edge_lengths[eids],
+                             edge_order=np.flatnonzero(np.isin(eids, self.edge_order)))
+
+
+def _edge_ids(c: Complex, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Ids of the edges {u, v} of c, from arrays of vertex ranks u < v."""
+    n, e = len(c.vertices), c.rows[1] if c.dim > 0 else np.zeros((0, 2), np.int64)
+    return np.searchsorted(e[:, 0] * n + e[:, 1], u * n + v)
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +214,7 @@ def dihedral_angle(mc: MetricComplex, tet, edge) -> float:
     rest = [v for v in tet if v not in (a, b)]
     if len(rest) != 2:
         raise PfcError(f"{edge} is not an edge of {tet}")
-    lengths = tuple(mc.length(x, y) for x, y in combinations([a, b, *rest], 2))
-    pa, pb, pc, pd = embed_simplex(lengths, 3)
+    pa, pb, pc, pd = embed_simplex(mc.simplex_lengths((a, b, *rest)), 3)
     e = pb - pa
     e = e / np.linalg.norm(e)
     u = (pc - pa) - np.dot(pc - pa, e) * e
@@ -244,11 +238,9 @@ def validate_metric(mc: MetricComplex) -> None:
     if not ok.all():
         e = c.k_simplices(1)[np.argmin(ok)]
         raise MetricError(f"edge {e} has length {mc.length(*e)}, not finite positive")
-    n = len(c.vertices)
-    keys = c.rows[1][:, 0] * n + c.rows[1][:, 1]
     for k in range(2, c.dim + 1):
         i, j = zip(*combinations(range(k + 1), 2))  # vertex pairs in canonical order
-        eids = np.searchsorted(keys, c.rows[k][:, i] * n + c.rows[k][:, j])
+        eids = _edge_ids(c, c.rows[k][:, i], c.rows[k][:, j])
         first, inverse = _groups(_row_keys(codes[eids].T, len(values), np.empty(len(eids), np.int64)))
         bad = np.flatnonzero(~_realizable_rows(lengths[eids[first]], k)[inverse])
         if bad.size:
@@ -306,9 +298,7 @@ def _link_table(mc: MetricComplex, d: int) -> tuple:
     open_star's order, its other vertices' ranks and a code for the lengths
     its angle reads; and the angles so far, by code."""
     if d not in mc._links:
-        c, n = mc.complex, len(mc.complex.vertices)
-        owners, edges = c.k_simplices(d - 1), c.k_simplices(1)
-        keys = c.rows[1][:, 0] * n + c.rows[1][:, 1] if edges else np.zeros(0, np.int64)
+        c, owners = mc.complex, mc.complex.k_simplices(d - 1)
         (values, lcode), parts = mc.length_codes, []
         for m in range(d, d + 2):
             rows = c.rows[m] if m <= c.dim else np.zeros((0, m + 1), np.int64)
@@ -317,7 +307,7 @@ def _link_table(mc: MetricComplex, d: int) -> tuple:
                       for keep in combinations(range(m + 1), d)]
             pairs = {p: k for k, p in enumerate(combinations(range(m + 1), 2))}
             ends = rows[:, [*pairs]]
-            eids = np.searchsorted(keys, ends[..., 0] * n + ends[..., 1])  # edges of the pairs
+            eids = _edge_ids(c, ends[..., 0], ends[..., 1])  # edges of the pairs
             owner = (rows[:, [k[0] for k in combos]] if d == 1
                      else eids[:, [pairs[k[:2]] for k in combos]]).ravel()
             order = np.argsort(owner, kind="stable")  # cells ascend per owner
@@ -392,6 +382,8 @@ def edge_link_graph(mc: MetricComplex, e) -> MetricGraph:
 
 
 def _adjacency(g: MetricGraph) -> dict:
+    if not isinstance(g, MetricGraph):  # every graph routine reads its graph here
+        raise PfcError(f"expected a MetricGraph, got a value of type {type(g).__name__}")
     adj = {n: [] for n in g.nodes}
     for i, a in enumerate(g.arcs):
         adj[a.u].append((a.v, a.weight, i))
@@ -484,9 +476,9 @@ def _min_eccentricities(graphs, delta: float = DEFAULT_DELTA) -> list:
                        else f"resolution must be finite, got {delta}")
     out, groups = [], {}
     for g in graphs:
+        adj = _adjacency(g)
         if not g.nodes:
             raise PfcError("empty graph has no eccentricity")
-        adj = _adjacency(g)
         rows = [_dijkstra(adj, n)[0] for n in g.nodes]  # dropped below: they outweigh a block
         if len(rows[0]) < len(g.nodes):
             out.append(EccentricityBounds(math.inf, math.inf, connected=False))
@@ -707,8 +699,7 @@ def metric_quotient(mc: MetricComplex, pairs):
     if c.dim < 1:
         return MetricComplex(c, edge_lengths=np.zeros(0), edge_order=order), vm
     new = np.fromiter(vm.values(), np.int64, len(vm))  # in the order of the old vertices
-    n, ends = len(c.vertices), np.sort(new[mc.complex.rows[1]], axis=1)
-    img = np.searchsorted(c.rows[1][:, 0] * n + c.rows[1][:, 1], ends[:, 0] * n + ends[:, 1])[order]
+    img = _edge_ids(c, *np.sort(new[mc.complex.rows[1]], axis=1).T)[order]
     got = mc.edge_lengths[order]
     first, image = _groups(img)  # each image's first visit, each visit's image
     old = got[first][image]

@@ -150,11 +150,11 @@ def parse(text: str, validate: bool = True) -> MetricComplex:
                 f"first {c.k_simplices(1)[first]}")
         edge_lengths = np.empty_like(x)
         edge_lengths[eid] = x
-        mc = MetricComplex(c, lengths, edge_lengths=edge_lengths, edge_order=eid)
+        mc = MetricComplex(c, edge_lengths=edge_lengths, edge_order=eid)
         if validate:
             validate_metric(mc)
         return mc
-    return MetricComplex(c, lengths)
+    return MetricComplex(c)
 
 
 def _raise_first_bad_record(lines: list, head: int) -> None:

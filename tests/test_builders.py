@@ -65,6 +65,9 @@ def test_torus3_counts_and_euler():
 def test_torus3_rejects_small_grid():
     with pytest.raises(PfcError, match=r"torus grid needs m >= 3, got 2"):
         flat_torus3(2)
+    for build in (flat_torus3, flat_torus2):  # a TypeError from range before
+        with pytest.raises(PfcError, match=r"^m must be an integer, got 3\.5$"):
+            build(3.5)
 
 
 def test_torus3_rejects_singular_lattice():
@@ -221,24 +224,35 @@ def test_free_group_complex_certificates(n):
     assert euler_characteristic(fc.complex) == 1 - n
 
 
-@pytest.mark.parametrize("sizes", [(0, 1, 1), (-1, 1, 1), (2, 0, 1), (2, 1, -3)],
-                         ids=["nx0", "nx-1", "ny0", "nz-3"])
-def test_box_complex_rejects_sizes_below_1(sizes):
-    message = "box sizes must be >= 1, got nx={}, ny={}, nz={}".format(*sizes)
+BOX_SIZES = "box sizes must be >= 1, got nx={}, ny={}, nz={}"
+
+
+@pytest.mark.parametrize("sizes, message", [
+    ((0, 1, 1), BOX_SIZES.format(0, 1, 1)), ((-1, 1, 1), BOX_SIZES.format(-1, 1, 1)),
+    ((2, 0, 1), BOX_SIZES.format(2, 0, 1)), ((2, 1, -3), BOX_SIZES.format(2, 1, -3)),
+    ((1, 1, 1.5), "nz must be an integer, got 1.5"), ((0, "1", 1), "ny must be an integer, got '1'"),
+], ids=["nx0", "nx-1", "ny0", "nz-3", "nz1.5", "ny-str"])
+def test_box_complex_rejects_sizes_below_1(sizes, message):
     with pytest.raises(PfcError, match=f"^{re.escape(message)}$"):
         box_complex(*sizes)
 
 
-@pytest.mark.parametrize("dim", [-1, -5])
-def test_simplex_complex_rejects_negative_dimensions(dim):
-    with pytest.raises(PfcError, match=f"^simplex dimension must be >= 0, got {dim}$"):
+@pytest.mark.parametrize("dim, message", [
+    (-1, "simplex dimension must be >= 0, got -1"), (-5, "simplex dimension must be >= 0, got -5"),
+    (2.5, "dim must be an integer, got 2.5"), (None, "dim must be an integer, got None"),
+], ids=["-1", "-5", "2.5", "None"])
+def test_simplex_complex_rejects_negative_dimensions(dim, message):
+    with pytest.raises(PfcError, match=f"^{re.escape(message)}$"):
         simplex_complex(dim)
     assert simplex_complex(0).complex.counts() == [1]
+    assert simplex_complex(np.int64(1)).complex.counts() == [2, 1]
 
 
 def test_free_group_complex_rejects_small_rank():
     with pytest.raises(PfcError, match="free group rank must be >= 2, got 1"):
         free_group_complex(1)
+    with pytest.raises(PfcError, match=r"^n must be an integer, got 2\.5$"):
+        free_group_complex(2.5)
 
 
 def test_free_group_complex_extendable():
@@ -549,6 +563,8 @@ def test_npc_surface_with_fins_collapses_to_an_extendable_core(n):
 def test_genus_surface_rejects_small_genus():
     with pytest.raises(PfcError, match="genus must be >= 2, got 1"):
         genus_surface(1)
+    with pytest.raises(PfcError, match="^n must be an integer, got 'a'$"):
+        genus_surface("a")  # a TypeError from the comparison before
 
 
 # --- example 2 ---------------------------------------------------------------------

@@ -49,7 +49,7 @@ from pfcomplex import (
     vertex_link_graph,
 )
 from pfcomplex import builders
-from pfcomplex.builders import _simplex_pair, box_complex, gcify
+from pfcomplex.builders import _simplex_pair, box_complex, gcify, midpoint_subdivision
 from pfcomplex.metric import (
     DEFAULT_DELTA,
     EPS_ANG,
@@ -332,6 +332,26 @@ def test_non_finite_lengths_rejected():
         assert not realizable([1, 1, 1, 1, 1, bad], 3)
         with pytest.raises(MetricError):
             validate_metric(MetricComplex(edge, {(0, 1): bad}))
+    # the arrays are the only store: `lengths` is a view of them, in the
+    # order given, without keys that name no edge, and with float values;
+    # an edge has a length when one was given, nan included
+    given = {(1, 2): 2, (0, 3): 1.0, (0, 2): math.nan, (2, 1): 5.0}
+    mc = MetricComplex(build_complex([(0, 1, 2)]), given)
+    assert mc.lengths is not given
+    assert [(e, repr(l)) for e, l in mc.lengths.items()] == [((1, 2), "2.0"), ((0, 2), "nan")]
+    assert math.isnan(mc.length(2, 0)) and mc.length(2, 1) == 2.0
+    for u, v in [(1, 0), (0, 3), (5, 6)]:
+        with pytest.raises(MetricError, match=re.escape(f"edge {edge_key(u, v)} has no length")):
+            mc.length(u, v)
+    with pytest.raises(MetricError, match=re.escape("edge (0, 1) has no length")):
+        validate_metric(mc)
+    sub = mc.restrict([(0, 1), (0, 2)])  # gathered by edge id: (0, 1) still has none
+    assert [(e, repr(l)) for e, l in sub.lengths.items()] == [((0, 2), "nan")]
+    for lacking in (lambda: sub.length(0, 1), lambda: midpoint_subdivision(mc)):
+        with pytest.raises(MetricError, match=re.escape("edge (0, 1) has no length")):
+            lacking()
+    with pytest.raises(MetricError, match=re.escape("edge (0, 2) has length nan, not finite positive")):
+        validate_metric(MetricComplex(mc.complex, {**given, (0, 1): 1.0}))
 
 
 def test_realizable_arity():
@@ -638,6 +658,14 @@ def test_min_ecc_memory_is_bounded_in_blocks():
     finally:
         tracemalloc.stop()
     assert peak <= 512 * 1024
+
+
+@pytest.mark.parametrize("routine", [girth, shortest_cycle, min_eccentricity])
+def test_graph_routines_reject_a_value_that_is_no_graph(routine):
+    """An AttributeError on None before; now a PfcError naming the type."""
+    for bad, kind in [(None, "NoneType"), ({0: []}, "dict")]:
+        with pytest.raises(PfcError, match=f"^expected a MetricGraph, got a value of type {kind}$"):
+            routine(bad)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

@@ -118,7 +118,10 @@ def test_gluing_and_checking_read_the_edge_length_arrays():
     """Union, quotient, validation, the link table and serialize read a
     metric's edge_lengths and length_codes, never the dict view `lengths`;
     the quotient sorts each dimension's image rows by one int64 key per row,
-    with no np.lexsort."""
+    with no np.lexsort.  The arrays are a metric's one store: no library
+    function reads `.lengths` but the property that builds that view,
+    MetricComplex defines no `_edges` pair, and `length` has one path,
+    which reads no `__dict__`."""
     modules = parsed_modules()
     defs = {(name, node.name): node for name, tree in modules.items()
             for node in tree.body if isinstance(node, ast.FunctionDef)}
@@ -129,3 +132,12 @@ def test_gluing_and_checking_read_the_edge_length_arrays():
                for n in ast.walk(defs[name, func]))]
     assert readers == []
     assert references(defs["complexes.py", "quotient"])["lexsort"] == 0
+    metric = next(node for node in modules["metric.py"].body
+                  if isinstance(node, ast.ClassDef) and node.name == "MetricComplex")
+    methods = {node.name: node for node in metric.body if isinstance(node, ast.FunctionDef)}
+    view = set(map(id, ast.walk(methods["lengths"])))
+    readers = [f"{name}: line {n.lineno}" for name, tree in modules.items() for n in ast.walk(tree)
+               if isinstance(n, ast.Attribute) and n.attr == "lengths" and id(n) not in view]
+    assert readers == []
+    assert "_edges" not in methods and references(metric)["_edges"] == 0
+    assert references(methods["length"])["__dict__"] == 0
