@@ -72,7 +72,8 @@ class CellIndex:
     the complex's rows[k].  Row f of the (n + 1, dim + 1) int64 array faces
     holds the ids of cell f's codimension-1 faces, column i the face that
     drops vertex i (boundary coefficient (-1)**i), padded with n; row n is
-    all padding.  The coface arrays ptr and cob are built on first use.
+    all padding.  The coface arrays ptr and cob are built on first use, cob
+    by one in-place sort of int64 keys, from which it copies the cells out.
     """
 
     def __init__(self, offsets: list, faces: np.ndarray):
@@ -87,8 +88,12 @@ class CellIndex:
     @cached_property
     def cob(self) -> np.ndarray:
         """Codimension-1 cofaces of every cell, ascending per cell."""
-        order = np.argsort(self.faces[:-1].ravel(), kind="stable")  # padding last
-        return order[:self.ptr[-1]] // self.faces.shape[1]
+        n = self.offsets[-1]
+        keys = self.faces[:-1] * (n + 1)  # face * (n + 1) + cell: padding sorts last
+        keys += np.arange(n)[:, None]
+        keys = keys.ravel()
+        keys.sort()
+        return keys[:self.ptr[-1]] % (n + 1)  # a copy: a view would hold every key
 
 
 def _row_ids(keys, ranks) -> np.ndarray:
@@ -177,9 +182,11 @@ class Complex:
         faces = np.full((offsets[-1] + 1, len(rows)), offsets[-1])
         keys = [rows[0][:, 0]]
         for k, r in enumerate(rows[1:], 1):
-            f = np.stack([_row_ids(keys, np.delete(r, i, axis=1)) for i in range(k + 1)], 1)
-            keys.append(r[:, 0] * len(keys[-1]) + f[:, 0])
-            faces[offsets[k]:offsets[k + 1], :k + 1] = f + offsets[k - 1]
+            f = _row_ids(keys, r[:, 1:])  # face 0; face i > 0 is (r[0], face i - 1 of f)
+            rest = r[:, :1] if k == 1 else keys[-1].searchsorted(
+                r[:, :1] * len(keys[-2]) + faces[offsets[k - 1] + f, :k] - offsets[k - 2])
+            faces[offsets[k]:offsets[k + 1], :k + 1] = np.column_stack((f, rest)) + offsets[k - 1]
+            keys.append(r[:, 0] * len(keys[-1]) + f)
         return CellIndex(offsets, faces)
 
     @cached_property

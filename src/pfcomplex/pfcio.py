@@ -111,9 +111,14 @@ def parse(text: str, validate: bool = True) -> MetricComplex:
                 (nverts,) = map(int, fields[1:])
             else:  # an unknown directive or a bad length record
                 raise ValueError(tag)
-        lengths = dict(zip(zip(us, vs), xs))
         x = np.array(xs)
-        if (len(lengths) == len(xs) and all(map(operator.lt, us, vs))
+        try:  # a repeated record is a zero column between sorted ends
+            ends = np.fromiter(chain(us, vs), np.int64, 2 * len(us)).reshape(2, -1)
+            repeat = not np.diff(ends[:, np.lexsort(ends)]).any(axis=0).all()
+        except OverflowError:  # such an id names no vertex
+            ends = np.array([[e if -1 < e < 2**63 else -1 for e in x] for x in (us, vs)])
+            repeat = len(set(zip(us, vs))) < len(us)
+        if (not repeat and all(map(operator.lt, us, vs))
                 and ((x > 0) & (x < math.inf)).all() and all(arity)):
             closed = _closure(arity, np.frombuffer(ids, np.int64))
     except (ValueError, OverflowError):
@@ -128,11 +133,7 @@ def parse(text: str, validate: bool = True) -> MetricComplex:
     if dim_declared is not None and c.dim > dim_declared:
         raise PfcSyntaxError(
             f"simplices of dimension {c.dim} exceed declared dim {dim_declared}")
-    if lengths:
-        try:
-            ends = np.fromiter(chain(us, vs), np.int64, 2 * len(us)).reshape(2, -1)
-        except OverflowError:  # such an id names no vertex
-            ends = np.array([[e if -1 < e < 2**63 else -1 for e in x] for x in (us, vs)])
+    if us:
         n, edges = len(verts), rows[1] if c.dim > 0 else np.zeros((0, 2), np.int64)
         rank = verts.searchsorted(ends)
         key, keys = rank[0] * n + rank[1], edges[:, 0] * n + edges[:, 1]
@@ -143,10 +144,10 @@ def parse(text: str, validate: bool = True) -> MetricComplex:
             i = int(np.argmin(hit))
             raise PfcSyntaxError(f"length record for edge {(us[i], vs[i])}, which is "
                                  f"not an edge of the complex", llines[i])
-        if len(edges) > len(lengths):
+        if len(edges) > len(us):
             first = int(np.argmin(np.bincount(eid, minlength=len(edges))))
             raise PfcError(
-                f"partial metric: {len(edges) - len(lengths)} edges lack lengths, "
+                f"partial metric: {len(edges) - len(us)} edges lack lengths, "
                 f"first {c.k_simplices(1)[first]}")
         edge_lengths = np.empty_like(x)
         edge_lengths[eid] = x

@@ -99,8 +99,10 @@ def test_parse_validates_realizability():
     (["l 0 1 1.0", "l 0 1 2.0"], 6),
     (["l 1 2 1.0", "l 0 99999999999999999999 1.0", "l 0 1 1.0"], 5),
     (["l 0 1 1.0", "l -3 1 1.0", "l 1 2 1.0"], 6),
+    (["l 0 99999999999999999999 1.0", "l 0 1 1.0", "l 0 99999999999999999999 2.0"], 7),
+    (["l 0 99999999999999999999 1.0", "l 0 99999999999999999998 1.0", "l 0 1 1.0"], 5),
 ], ids=["nan", "inf", "edge-outside-complex", "duplicate", "first-of-two-outside",
-        "negative-outside"])
+        "negative-outside", "duplicate-past-int64", "two-past-int64"])
 def test_parse_rejects_bad_length_records(lines, bad_line):
     doc = "pfc 1\ndim 1\nvertices 3\ns 0 1\n" + "\n".join(lines) + "\n"
     with pytest.raises(PfcSyntaxError) as err:

@@ -13,7 +13,10 @@ from pfcomplex import (
     collapse_core,
     disjoint_union,
     euler_characteristic,
+    flat_torus3,
     free_faces,
+    genus_surface,
+    house_with_two_rooms,
     link,
     quotient,
     star,
@@ -307,6 +310,17 @@ def test_incidence_readers_share_one_cell_index():
     c.facets()
     assert c.index is idx
     assert all(a is b for a, b in zip((idx.faces, idx.ptr, idx.cob), arrays))
+
+
+@pytest.mark.parametrize("build", [lambda: box_complex(2, 1, 1), house_with_two_rooms,
+                                   lambda: flat_torus3(3), lambda: genus_surface(3)],
+                         ids=["box211", "house", "torus3", "genus3"])
+def test_cofaces_own_their_data(build):
+    """cob is a compact array of its own, not a view of the sorted keys,
+    which would keep the whole (n, dim + 1) buffer alive with the index."""
+    idx = build().complex.index
+    assert idx.cob.base is None
+    assert len(idx.cob) == idx.ptr[-1]
 
 
 def test_disjoint_union_keeps_vertex_ids_below_2_63():

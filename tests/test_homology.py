@@ -16,13 +16,17 @@ from pfcomplex import (
     example_complex,
     flat_torus3,
     free_faces,
+    free_group_complex,
     genus_surface,
     house_with_two_rooms,
     local_homology,
     quotient,
     solid_chain_check,
 )
+from pfcomplex import homology
 from pfcomplex.homology import _morse_core
+
+import homology_oracle
 
 
 # --- independent oracle: dense Smith normal form, no shortcuts ------------
@@ -489,6 +493,88 @@ def test_disjoint_houses_reduce_through_unit_pivots_at_scale():
     assert betti(c, "z").ranks == (30, 0, 0)
     assert betti(c, "z").torsion == ((), (), ())
     assert betti(c, "z2").ranks == (30, 0, 0)
+
+
+RP2 = [(0, 1, 2), (0, 1, 5), (0, 2, 4), (0, 3, 4), (0, 3, 5),
+       (1, 2, 3), (1, 3, 4), (1, 4, 5), (2, 3, 5), (2, 4, 5)]
+
+
+def oracle_cases():
+    """(complex, excluded cell ids): the named builders with nothing
+    excluded, then 300 random complexes, each whole and with a random
+    subcomplex excluded."""
+    named = [example_complex("example1"), house_with_two_rooms(), genus_surface(3),
+             flat_torus3(3), free_group_complex(8)]
+    cases = [(x.complex, []) for x in named]
+    cases.append((disjoint_copies(build_complex(RP2), 5), []))
+    cases += [(wrapped_disk(n), []) for n in range(2, 7)]
+    rng = random.Random(29)
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        c = build_complex([tuple(rng.sample(range(n), rng.randint(1, min(5, n))))
+                           for _ in range(rng.randint(1, 12))])
+        sub = c.subcomplex(rng.sample(c.cells, rng.randint(0, len(c.cells))))
+        cases += [(c, []), (c, c._ids(sub.cells, PfcError))]
+    return cases
+
+
+def assert_core_equals_oracle(c, excluded):
+    core = _morse_core(c, excluded)
+    want = homology_oracle._morse_core(c, excluded)
+    assert [sorted(d) for d in core] == [sorted(d) for d in want]
+    assert core == want
+    assert {type(v) for d in core for bd in d.values() for v in bd.values()} <= {int}
+
+
+def test_morse_core_equals_the_round_loop_oracle():
+    """The frontier rounds with int64 coefficients give the critical cells
+    and Morse boundaries of the loop that scanned every cell each round."""
+    for c, excluded in oracle_cases():
+        assert_core_equals_oracle(c, excluded)
+
+
+def test_morse_core_python_int_fallback_is_exact(monkeypatch):
+    """With the int64 bound at 1 every coefficient is summed as a Python int
+    after the first spread, and the core and the torsion stay the same."""
+    monkeypatch.setattr(homology, "_EXACT", 1)
+    for c, excluded in oracle_cases()[:11]:
+        assert_core_equals_oracle(c, excluded)
+    c = disjoint_copies(build_complex(RP2), 5)
+    assert betti(c, "z").torsion == ((), (2,) * 5, ())
+    assert betti(c, "z2").ranks == (5, 5, 5)
+
+
+def doubling_telescope(k):
+    """A disk on a 3-gon, then k times a collar from the last 3-gon onto a
+    6-gon and the mapping cylinder of the 6-gon wrapping twice around a new
+    3-gon, so H_1 = Z/2**k.  Ids count down from the disk, so coreduction
+    starts at the last 3-gon and leaves one critical cell per degree, with
+    the coefficient +-2**k."""
+    tris, a, top = [], [1, 2, 3], 4
+    tris += [(0, a[0], a[1]), (0, a[1], a[2]), (0, a[0], a[2])]
+    for _ in range(k):
+        b, new = list(range(top, top + 6)), [top + 6, top + 7, top + 8]
+        top += 9
+        for m in range(3):
+            tris += [(a[m], b[2 * m], b[2 * m + 1]), (a[m], b[2 * m + 1], a[(m + 1) % 3]),
+                     (a[(m + 1) % 3], b[2 * m + 1], b[(2 * m + 2) % 6])]
+        for j in range(6):
+            tris += [(b[j], b[(j + 1) % 6], new[(j + 1) % 3]), (b[j], new[j % 3], new[(j + 1) % 3])]
+        a = new
+    return build_complex([tuple(top - 1 - v for v in t) for t in tris])
+
+
+def test_morse_core_coefficients_past_int64_stay_exact():
+    """The telescope's one Morse coefficient, 2**70, passes the int64 bound
+    and then int64 itself, so only the Python-int fallback gets it right."""
+    assert betti_oracle(doubling_telescope(3)) == ((1, 0, 0), ((), (8,), ()))
+    c = doubling_telescope(70)
+    assert_core_equals_oracle(c, [])
+    core = _morse_core(c, [])
+    assert [len(d) for d in core] == [1, 1, 1]
+    assert [abs(v) for bd in core[2].values() for v in bd.values()] == [2**70]
+    assert betti(c, "z").torsion == ((), (2**70,), ())
+    assert betti(c, "z2").ranks == (1, 1, 1)
 
 
 def test_relative_containment_error():

@@ -141,3 +141,18 @@ def test_gluing_and_checking_read_the_edge_length_arrays():
     assert readers == []
     assert "_edges" not in methods and references(metric)["_edges"] == 0
     assert references(methods["length"])["__dict__"] == 0
+
+
+def test_cofaces_by_one_key_sort_and_morse_rounds_on_a_frontier():
+    """CellIndex.cob sorts one int64 key per face entry, with no argsort,
+    and no _morse_core round allocates a full-size array with np.full: the
+    `least` scratch array lives across rounds."""
+    modules = parsed_modules()
+    index = next(node for node in modules["complexes.py"].body
+                 if isinstance(node, ast.ClassDef) and node.name == "CellIndex")
+    cob = next(node for node in index.body if getattr(node, "name", None) == "cob")
+    assert references(cob)["argsort"] == 0
+    core = next(node for node in modules["homology.py"].body
+                if getattr(node, "name", None) == "_morse_core")
+    rounds = [n for n in ast.walk(core) if isinstance(n, ast.While)]
+    assert rounds and all(references(loop)["full"] == 0 for loop in rounds)
