@@ -237,9 +237,12 @@ class Complex:
         return list(compress(self.cells, np.diff(self.index.ptr) == 0))
 
     def open_star(self, s) -> list[Simplex]:
-        """The simplices containing s, s first, in (length, lex) order: from
-        s's first vertex the coface arrays climb through the prefixes of s,
-        then give its cofaces level by level; PfcError if s is no simplex."""
+        """The simplices containing s, s first, in (length, lex) order; PfcError if s is no simplex."""
+        return list(map(self.cells.__getitem__, self._star_ids(s).tolist()))
+
+    def _star_ids(self, s) -> np.ndarray:
+        """Their ascending ids: from s's first vertex the coface arrays climb
+        through the prefixes of s, then give its cofaces level by level."""
         s, ptr, cob, cells = canonical_simplex(s), self.index.ptr, self.index.cob, self.cells
         ints = all(isinstance(v, (int, np.integer)) for v in s)  # 1.0 == 1 is no vertex 1
         i = bisect_left(self.vertices, s[0]) if s and ints else len(self.vertices)
@@ -253,7 +256,7 @@ class Complex:
             out.append(level)
             n = ptr[level + 1] - ptr[level]  # gather cob[ptr[f]:ptr[f + 1]] for each f
             level = _distinct(cob[np.repeat(ptr[level + 1] - n.cumsum(), n) + np.arange(n.sum())])
-        return list(map(cells.__getitem__, np.concatenate(out).tolist()))
+        return np.concatenate(out)
 
     def subcomplex(self, simplices: Iterable[Simplex], name=None) -> "Complex":
         """Face closure of a subset of this complex's simplices."""
@@ -357,8 +360,12 @@ def star(c: Complex, s) -> Complex:
 
 def link(c: Complex, s) -> Complex:
     """The link of s: simplices disjoint from s whose join with s is present."""
-    s, *cofaces = c.open_star(s)
-    return Complex(tuple(x for x in t if x not in s) for t in cofaces)
+    ids, off = c._star_ids(s), c.index.offsets
+    parts = np.split(ids, ids.searchsorted(off[1:-1]))  # per dimension
+    (k, own), *up = [(d, c.rows[d][p - off[d]]) for d, p in enumerate(parts) if len(p)]
+    rows = [r[(r[:, :, None] != own).all(2)].reshape(len(r), d - k) for d, r in up]  # stay sorted
+    verts = rows[0][:, 0] if rows else np.zeros(0, np.int64)
+    return Complex.from_rows([c.vertices[v] for v in verts.tolist()], [verts.searchsorted(r) for r in rows])
 
 
 class FreeFacePair(NamedTuple):

@@ -8,16 +8,16 @@ integers: one sparse pivot loop brings each boundary to a diagonal form,
 always pivoting on an entry of least absolute value.  The number of entries
 is the rank, and the entries give the torsion.  GF(2) ranks follow by the
 universal coefficient theorem: an entry stays a unit mod 2 unless it is
-even.  To keep the torus-gluing fixtures (hundreds of thousands of cells)
-inside a desk-scale time budget, the loop runs on a Morse complex:
-coreduction (Mrozek & Batko), run on the face table and cofaces of the
-complex's cell index, pairs each cell that has a single working face with
-that face and carries the boundary of the critical cells exactly, as in
-Harker, Mischaikow, Mrozek & Nanda.  Numpy rounds pair every ready cell at
-once, each reading the cells the last one changed; with none ready, the
-least cell of each working component becomes critical.  Only the critical
-cells, usually as many as the Betti numbers need, are diagonalised; `betti`
-of example2 (195,399 cells) takes about 0.15 s on a 2-core Xeon.
+even.  To keep the torus gluings (hundreds of thousands of cells) inside a
+desk-scale time budget, the loop runs on a Morse complex: coreduction
+(Mrozek & Batko), on the cell index's face table and cofaces, pairs each
+cell that has a single working face with that face and carries the boundary
+of the critical cells exactly, as in Harker, Mischaikow, Mrozek & Nanda.
+Numpy rounds pair every ready cell at once, each reading the cells the last
+one changed; with none ready, the least cell of each working component
+becomes critical, found on int32 edges built one face column at a time (so
+below 2**31 cells).  Only the critical cells are diagonalised; `betti` of
+example2 (195,399 cells) takes about 0.15 s on a 2-core Xeon.
 """
 
 from __future__ import annotations
@@ -89,21 +89,22 @@ def boundary_matrix(c: Complex, k: int, ring: str = RING_Z) -> ChainMatrix:
 
 
 def _component_minima(table, working):
-    """Least cell of each face-coface component of the working cells: edges
-    hook their larger root onto their smaller one until none joins two."""
-    work = np.flatnonzero(working)
-    rows = table[work]
-    pos = np.zeros(len(working), np.int64)
-    pos[work] = np.arange(len(work))
-    a, col = np.nonzero(working[rows])
-    b = pos[rows[a, col]]
-    lab = np.arange(len(work))
+    """Least cell of each face-coface component of the working cells: int32
+    edges, built one face column at a time (so below 2**31 cells), hook their
+    larger root onto their smaller one until none joins two."""
+    if len(working) > 2**31:  # the last cell is padding
+        raise PfcError(f"{len(working) - 1} cells are too many for int32 component labels")
+    work, pos = np.flatnonzero(working), np.full(len(working), -1, np.int32)
+    pos[work] = lab = np.arange(len(work), dtype=np.int32)
+    edges = [(lab[q >= 0], q[q >= 0]) for q in (pos[col[work]] for col in table.T)]
+    a, b = (np.concatenate(e) for e in zip(*edges))
+    del pos, edges
     while len(a):
         np.minimum.at(lab, np.maximum(a, b), np.minimum(a, b))
-        while (lab[lab] != lab).any():
-            lab = lab[lab]
-        a, b = lab[a], lab[b]
-        a, b = a[a != b], b[a != b]
+        while (lab.take(lab) != lab).any():  # take: lab[lab] casts int32 indices slowly
+            lab = lab.take(lab)
+        a, b = lab.take(a, out=a, mode="clip"), lab.take(b, out=b, mode="clip")  # in place; clip: no buffer
+        a, b = a[m := a != b], b[m]
     return work[lab == np.arange(len(work))]
 
 

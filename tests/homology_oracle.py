@@ -2,7 +2,8 @@
 oracle: every round scans all cells for candidates and working cells, a
 fresh `least` array per round, and the Morse coefficients always Python
 ints in an object array.  Its critical cells and boundaries are the ones
-the frontier rounds must reproduce.
+the frontier rounds must reproduce.  A pure-Python union-find gives the
+component minima that homology._component_minima must reproduce.
 """
 
 import numpy as np
@@ -27,6 +28,25 @@ def _component_minima(table, working):
         a, b = lab[a], lab[b]
         a, b = a[a != b], b[a != b]
     return work[lab == np.arange(len(work))]
+
+
+def union_find_minima(table, working):
+    """Least cell of each component of the graph on the working cells whose
+    edges join a cell to each of its working faces, by a union-find over
+    Python ints that always keeps the smaller root; ascending int64 ids."""
+    parent = {x: x for x in np.flatnonzero(working).tolist()}
+
+    def root(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for x in list(parent):
+        for f in table[x].tolist():
+            if f in parent:  # a working face; the padding cell never works
+                rx, rf = sorted((root(x), root(f)))
+                parent[rf] = rx
+    return np.array(sorted({root(x) for x in parent}), np.int64)
 
 
 def _morse_core(c: Complex, excluded) -> list[dict]:

@@ -13,8 +13,10 @@ from pfcomplex import (
     collapse_core,
     disjoint_union,
     euler_characteristic,
+    example_complex,
     flat_torus3,
     free_faces,
+    free_group_complex,
     genus_surface,
     house_with_two_rooms,
     link,
@@ -22,7 +24,7 @@ from pfcomplex import (
     star,
 )
 from pfcomplex.builders import _far_pairs, _simplex_pair, box_complex
-from pfcomplex.complexes import _groups, _row_keys, canonical_simplex, faces_of
+from pfcomplex.complexes import Complex, _groups, _row_keys, canonical_simplex, faces_of
 from pfcomplex.homology import betti
 from pfcomplex.pfcio import parse, serialize
 from test_metric import random_generator_lists
@@ -175,6 +177,23 @@ def test_link_requires_membership():
     with pytest.raises(PfcError,
                        match=r"\(7,\) is not a simplex of the complex"):
         link(c, (7,))
+
+
+def test_link_equals_the_tuple_rebuild():
+    """link relabels its cofaces' rows; the complex it gives equals the one
+    rebuilt from the cofaces' tuples less s: the same vertex objects, cells,
+    order and rows, on the builders' complexes and every cell of each."""
+    for c in [example_complex("example1").complex, house_with_two_rooms().complex,
+              genus_surface(3).complex, flat_torus3(3).complex,
+              free_group_complex(8).complex, box_complex(2, 1, 1).complex]:
+        for s in c.cells:
+            _, *cofaces = c.open_star(s)
+            want = Complex(tuple(x for x in t if x not in s) for t in cofaces)
+            got = link(c, s)
+            assert got == want and list(got) == list(want)
+            assert [type(v) for v in got.vertices] == [type(v) for v in want.vertices]
+            assert all(x is y for x, y in zip(got.vertices, want.vertices))
+            assert [r.tolist() for r in got.rows] == [r.tolist() for r in want.rows]
 
 
 def test_star_link_duality():
