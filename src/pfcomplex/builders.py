@@ -59,10 +59,10 @@ _GCIFY_ROUNDS = 6  # midpoint subdivisions before gcify gives up
 
 
 def _check_counts(least: int, message: str, **counts) -> None:
-    """PfcError unless every count is an integer of at least `least`: one
+    """PfcError unless every count is an integer, no bool, of at least `least`: one
     naming the first count that is no integer, else `message`."""
     for name, x in counts.items():
-        if not isinstance(x, (int, np.integer)):
+        if not isinstance(x, (int, np.integer)) or isinstance(x, bool):
             raise PfcError(f"{name} must be an integer, got {x!r}")
     if min(counts.values()) < least:
         raise PfcError(message)

@@ -16,7 +16,7 @@ import heapq
 from bisect import bisect_left
 from contextlib import suppress
 from functools import cached_property
-from itertools import chain, combinations, compress
+from itertools import accumulate, chain, combinations, compress, islice
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -111,24 +111,13 @@ class Complex:
     It holds its ascending vertex ids (the caller's own objects) and, per
     dimension k, the lexicographically sorted (n_k, k + 1) int64 rows of
     their positions; every other view is derived on first use.  Instances
-    are immutable; construct through :func:`build_complex`, which applies
-    the face closure, rather than directly.
+    are immutable.  Complex(simplices, name) is build_complex(simplices,
+    name), the face closure; from_rows takes rows that are already closed.
     """
 
     def __init__(self, simplices: Iterable[Simplex] = (), name: str | None = None):
-        by_len = {}
-        for s in simplices:
-            by_len.setdefault(len(s), []).append(s)
-        ids = np.sort(np.fromiter((v for v, in by_len.get(1, ())), np.int64))
-        rows, cells = [], []
-        for n in range(1, max(by_len, default=0) + 1):
-            g = by_len[n]
-            r = np.searchsorted(ids, np.fromiter(chain.from_iterable(g), np.int64).reshape(-1, n))
-            order = np.lexsort(r.T[::-1])
-            rows.append(r[order])
-            cells += [g[i] for i in order.tolist()]
-        self.vertices, self.rows, self.name = [v for v, in cells[:len(ids)]], tuple(rows), name
-        self.cells = cells  # the given tuples, so the tuple view shares them
+        c = build_complex(simplices, name)  # the closure of a closed set is itself
+        self.vertices, self.rows, self.name = c.vertices, c.rows, name
 
     @classmethod
     def from_rows(cls, vertices: list, rows, name: str | None = None) -> "Complex":
@@ -288,6 +277,24 @@ def _groups(a: np.ndarray) -> tuple:
     return order[step], inverse
 
 
+def _class_minima(n: int, pairs: list) -> np.ndarray:
+    """Each of 0..n - 1 labelled, in int32 (so n < 2**31), by its class's
+    least member, where int32 arrays (a, b) in pairs join a[i] and b[i]:
+    larger labels are hooked onto smaller ones until no pair joins two, in
+    any order.  pairs is emptied once its arrays are joined, so they can be
+    freed before the hooking."""
+    a, b = (np.concatenate(p) for p in zip(*pairs))
+    pairs.clear()
+    lab = np.arange(n, dtype=np.int32)
+    while len(a):
+        np.minimum.at(lab, np.maximum(a, b), np.minimum(a, b))
+        while (lab.take(lab) != lab).any():  # take: lab[lab] casts int32 indices slowly
+            lab = lab.take(lab)
+        a, b = lab.take(a, out=a, mode="clip"), lab.take(b, out=b, mode="clip")  # in place; clip: no buffer
+        a, b = a[m := a != b], b[m]
+    return lab
+
+
 def _row_keys(columns, base: int, out: np.ndarray) -> np.ndarray:
     """Write into out, and return, one int64 per row of the given columns
     of values below base, ascending with the rows in lexicographic order:
@@ -429,7 +436,11 @@ def collapse_core(c: Complex) -> CollapseResult:
                 n_co[sub] -= 1
                 if n_co[sub] == 1:
                     heapq.heappush(heap, sub)
-    core = Complex(compress(c.cells, alive), name=c.name)
+    keep = np.frombuffer(alive, bool)
+    new = keep[:len(c.vertices)].cumsum() - 1  # the core's vertex positions
+    rows = (new[r[keep[lo:lo + len(r)]]] for lo, r in zip(c.index.offsets, c.rows))
+    core = Complex.from_rows(list(compress(c.vertices, alive)), [r for r in rows if len(r)], c.name)
+    core.cells = list(compress(c.cells, alive))  # the input's own tuples
     return CollapseResult(core, (len(c) - len(core)) // 2)
 
 
@@ -447,38 +458,20 @@ class QuotientResult(NamedTuple):
     vertex_map: dict  # old vertex id -> new (dense) vertex id
 
 
-class _UnionFind(dict):
-    """Parent links of disjoint classes; each class is represented by its
-    smallest member, so ambient vertex ids stay stable."""
-
-    def find(self, x):
-        root = self.setdefault(x, x)
-        while self[root] != root:
-            root = self[root]
-        while self[x] != root:
-            self[x], x = root, self[x]
-        return root
-
-    def union(self, a, b) -> bool:
-        ra, rb = sorted((self.find(a), self.find(b)))
-        self[rb] = ra
-        return ra != rb  # False if a and b were in one class already
-
-
 def quotient(c: Complex, pairs: Sequence) -> QuotientResult:
     """Glue the complex along the given identification pairs.
 
     A pair is (source, target, vertex_map): two simplex lists, faces
-    included, and a map sending each vertex of source to one of target,
-    simplex-by-simplex onto target (a mapping error otherwise).  The map
-    need not be injective, so a subdivided arc can wrap onto a circle with
-    an endpoint merge in the same call.  After merging vertex classes the
-    result is checked to still be simplicial: no simplex may degenerate, and
-    two distinct simplices may land on the same vertex set only if the
-    declared identifications actually relate them.  Every simplex is
-    relabelled and checked as an int64 row; the first failure in (length,
-    lexicographic) order is raised.  Vertex ids of the result are renumbered
-    densely; the old-to-new map is returned alongside.
+    included, and a map, whose keys and values are vertices, sending each
+    vertex of source to one of target, simplex-by-simplex onto target (a
+    mapping error otherwise).  The map need not be injective, so a
+    subdivided arc can wrap onto a circle with an endpoint merge in the same
+    call.  After merging vertex classes the result is checked to still be
+    simplicial: no simplex may degenerate, and two distinct simplices may
+    land on the same vertex set only if the declared identifications
+    actually relate them; the first failure in (length, lexicographic)
+    order is raised.  Vertex ids of the result are renumbered densely; the
+    old-to-new map is returned alongside.
     """
     norm = []
     try:  # the pairs before a malformed one are searched before it raises
@@ -491,37 +484,41 @@ def quotient(c: Complex, pairs: Sequence) -> QuotientResult:
             norm.append((tuple(map(canonical_simplex, source)),
                          tuple(map(canonical_simplex, target)), dict(vmap)))
     finally:
-        c._ids([s for src, dst, _ in norm for s in src + dst],
-               lambda s: PfcError(f"identification references {s}, not in complex"))
-    verts, cells = _UnionFind(), _UnionFind()
-    for src, dst, vmap in norm:
-        dst_set, covered = set(dst), set()
-        for s in src:
-            try:
-                img = tuple(sorted(map(vmap.__getitem__, s)))
-            except KeyError as e:
-                raise PfcError(f"vertex {e.args[0]} of {s} has no image") from None
-            if len(set(img)) != len(img):
-                raise PfcError(f"{s} degenerates to {img} under the pair map")
-            if img not in dst_set:
-                raise PfcError(f"{s} maps to {img}, not in the target subcomplex")
-            covered.add(img)
-            cells.union(s, img)
-        if covered != dst_set:
-            missing = sorted(dst_set - covered, key=lambda s: (len(s), s))
-            raise PfcError(f"target simplices not covered by the map: {missing[:3]}")
-        for v, w in vmap.items():
-            verts.union(v, w)
-
+        ids = iter(c._ids([s for src, dst, _ in norm for s in src + dst], lambda s: PfcError(
+            f"identification references {s}, not in complex")).tolist())
+    a, b, entries = [], [], []  # each source's cell id and its image's; the map entries
+    with suppress(TypeError):  # from a value that is no vertex, which the entries' search names
+        for src, dst, vmap in norm:
+            a += islice(ids, len(src))
+            target, covered = dict(zip(dst, ids)), set()
+            entries += vmap.items()
+            for s in src:
+                try:
+                    img = tuple(sorted(map(vmap.__getitem__, s)))
+                except KeyError as e:
+                    raise PfcError(f"vertex {e.args[0]} of {s} has no image") from None
+                if len(set(img)) != len(img):
+                    raise PfcError(f"{s} degenerates to {img} under the pair map")
+                if img not in target:
+                    raise PfcError(f"{s} maps to {img}, not in the target subcomplex")
+                covered.add(img)
+                b.append(target[img])
+            if len(covered) != len(target):
+                missing = sorted(target.keys() - covered, key=lambda s: (len(s), s))
+                raise PfcError(f"target simplices not covered by the map: {missing[:3]}")
+    # vertex classes join each entry's ends; cell classes, in the ids named, each source and its image
     old = c.vertices
-    roots = {v: verts.find(v) for v in list(verts)}
-    rep = np.fromiter(map(roots.get, old, old), np.int64, len(old))
-    reps = _distinct(rep)
-    new = reps.searchsorted(rep)  # dense ids in the classes' order
+    ends = c._ids([(x,) for side in zip(*entries) for x in side], lambda s: PfcError(
+        f"vertex map entry {s[0]!r} is not a vertex of the complex")).astype(np.int32)
+    rep = _class_minima(len(old), [(ends[:len(entries)], ends[len(entries):])])  # least class members
+    at, pos = _groups(named := np.array(a + b, np.int64))  # the named ids, compacted
+    least = _class_minima(len(at), [tuple(pos.astype(np.int32).reshape(2, -1))])
+    cls = dict(zip(named[at].tolist(), named[at][least].tolist()))
+    heads, new = _groups(rep)  # dense ids in the classes' order
     out = []
-    for r in c.rows:
+    for lo, r in zip(accumulate(map(len, c.rows), initial=0), c.rows):
         img = np.sort(new[r], axis=1)
-        key = _row_keys(img.T, len(reps), np.empty(len(img), np.int64))
+        key = _row_keys(img.T, len(heads), np.empty(len(img), np.int64))
         order = np.argsort(key, kind="stable")
         img, key = img[order], key[order]
         # a row can fail only if it degenerates or shares its image with
@@ -530,22 +527,21 @@ def quotient(c: Complex, pairs: Sequence) -> QuotientResult:
         step[1:-1] = key[1:] != key[:-1]
         first = step[:-1]
         suspect = (img[:, 1:] == img[:, :-1]).any(axis=1) | ~(first & step[1:])
-        images = {}  # image of a suspect -> the first suspect landing on it
-        for s in (tuple(map(old.__getitem__, r[i].tolist()))
-                  for i in sorted(order[suspect].tolist())):
-            image = tuple(sorted(set(map(roots.get, s, s))))
+        images = {}  # image of a suspect -> the first suspect landing on it, its cell class
+        for i in sorted(order[suspect].tolist()):
+            s = tuple(map(old.__getitem__, r[i].tolist()))
+            image = tuple(map(old.__getitem__, sorted(set(rep[r[i]].tolist()))))
             if len(image) != len(s):
                 raise QuotientDegeneracyError(
                     f"simplex {s} degenerates to {image} in the quotient", witness=s)
-            prior = images.setdefault(image, s)
-            if prior != s and cells.find(prior) != cells.find(s):
+            prior, k = images.setdefault(image, (s, cls.get(lo + i, lo + i)))
+            if k != cls.get(lo + i, lo + i):
                 raise QuotientDegeneracyError(
                     f"distinct simplices {prior} and {s} collide on {image} "
                     f"without being identified", witness=(prior, s))
         out.append(img[first])
-    ids = list(range(len(reps)))
-    return QuotientResult(Complex.from_rows(ids, out, name=c.name),
-                          dict(zip(old, map(ids.__getitem__, new.tolist()))))
+    return QuotientResult(Complex.from_rows(list(range(len(heads))), out, name=c.name),
+                          dict(zip(old, new.tolist())))
 
 
 def disjoint_union(first: Complex, *rest: Complex) -> tuple[Complex, list]:

@@ -28,7 +28,7 @@ from math import gcd
 
 import numpy as np
 
-from .complexes import Complex, _distinct, link
+from .complexes import Complex, _class_minima, _distinct, link
 from .report import CONTRADICTION, PASS, CheckItem, CheckReport, PfcError
 
 RING_Z = "z"
@@ -90,21 +90,15 @@ def boundary_matrix(c: Complex, k: int, ring: str = RING_Z) -> ChainMatrix:
 
 def _component_minima(table, working):
     """Least cell of each face-coface component of the working cells: int32
-    edges, built one face column at a time (so below 2**31 cells), hook their
-    larger root onto their smaller one until none joins two."""
+    edges, built one face column at a time (so below 2**31 cells), joining
+    classes in the one hooking loop, complexes._class_minima."""
     if len(working) > 2**31:  # the last cell is padding
         raise PfcError(f"{len(working) - 1} cells are too many for int32 component labels")
     work, pos = np.flatnonzero(working), np.full(len(working), -1, np.int32)
-    pos[work] = lab = np.arange(len(work), dtype=np.int32)
-    edges = [(lab[q >= 0], q[q >= 0]) for q in (pos[col[work]] for col in table.T)]
-    a, b = (np.concatenate(e) for e in zip(*edges))
-    del pos, edges
-    while len(a):
-        np.minimum.at(lab, np.maximum(a, b), np.minimum(a, b))
-        while (lab.take(lab) != lab).any():  # take: lab[lab] casts int32 indices slowly
-            lab = lab.take(lab)
-        a, b = lab.take(a, out=a, mode="clip"), lab.take(b, out=b, mode="clip")  # in place; clip: no buffer
-        a, b = a[m := a != b], b[m]
+    pos[work] = own = np.arange(len(work), dtype=np.int32)
+    edges = [(own[q >= 0], q[q >= 0]) for q in (pos[col[work]] for col in table.T)]
+    del pos, own  # only the labels and the pairs stay alive through the hooking
+    lab = _class_minima(len(work), edges)
     return work[lab == np.arange(len(work))]
 
 
@@ -118,19 +112,21 @@ def _morse_core(c: Complex, excluded) -> list[dict]:
     Since the rest of `d(t)` is critical, the pivot is a unit and fill-in
     lands only on critical cells, so the reduction is exact over Z.
 
-    It runs in numpy rounds.  A round pairs every working cell with one
-    working face, keeping the least per face and dropping a pair whose cell
-    is another kept pair's face.  Kept pairs then share no cell, so no kept
-    cell is a working face of another pair's cell, whose only one is its
-    partner.  Critical parts reach a cell only through its working faces, so
-    retiring all kept pairs at once equals retiring them one at a time.  With
-    no pair left, the least working cell of each working component becomes
-    critical (an ace; it has no working face).  Components only split and
-    never touch, so this is the sequential choice, made in each at once.  A
-    cell gets ready only by losing a working face, so a round's candidates
-    are the cofaces the last one retired from and those it did not keep.
-    Coefficients are int64 until one reaches _EXACT, then Python ints.  On
-    example2 (195,399 cells): 45 rounds, 8 ace rounds, about 0.1 s.
+    It runs in numpy rounds.  A round pairs every ready cell (one working
+    face) with that face, keeping the least cell per face.  No cell outside
+    the working set has a working face (excluded cells form a subcomplex,
+    an ace is its component's least cell, a paired face's faces lie in its
+    partner's other faces), so a ready cell's face is never ready, and kept
+    pairs share no cell: no kept cell is a working face of another pair's
+    cell, whose only one is its partner.  Critical parts reach a cell only
+    through its working faces, so retiring all kept pairs at once equals
+    retiring them one at a time.  With no pair left, the least working cell
+    of each working component becomes critical (an ace).  Components only
+    split and never touch, so this is the sequential choice, made in each at
+    once.  A cell gets ready only by losing a working face, so a round's
+    candidates, unkept ones included, are the cofaces the last one retired
+    from.  Coefficients are int64 until one reaches _EXACT, then Python
+    ints.  On example2 (195,399 cells): 45 rounds, 8 ace rounds, about 0.1 s.
     """
     idx = c.index
     n, table, ptr, cob = idx.offsets[-1], idx.faces, idx.ptr, idx.cob
@@ -141,7 +137,7 @@ def _morse_core(c: Complex, excluded) -> list[dict]:
     n_work = sum(state[col] == 0 for col in table.T)
     left, cand = np.count_nonzero(state == 0), np.flatnonzero(n_work == 1)  # working, ready
     mate = np.zeros(n + 1, np.int64)  # a paired cell's face
-    least = np.full(n + 1, n)  # least candidate per face, n between rounds
+    least = np.full(n + 1, n)  # least candidate per face, never reset: the face is paired
     # the critical parts: rows owner * (n + 1) + critical cell, exact values
     key, val = np.zeros(0, np.int64), np.zeros(0, np.int64)
 
@@ -191,12 +187,10 @@ def _morse_core(c: Complex, excluded) -> list[dict]:
         rows = table[cand]
         f = rows[np.arange(len(cand)), np.argmax(state[rows] == 0, axis=1)]
         np.minimum.at(least, f, cand)
-        keep = (least[f] == cand) & (least[cand] == n)
-        least[f] = n
-        t, f = cand[keep], f[keep]
+        t, f = cand[keep := least[f] == cand], f[keep]
         state[t], state[f], mate[t], n_work[t], n_work[f] = 3, 2, f, 0, 0
         left -= 2 * len(t)
-        cand = np.concatenate((retire(np.concatenate((t, f))), cand))
+        cand = retire(np.concatenate((t, f)))
         # each row (t, x, v) of a paired cell moves to the working cofaces u
         # of its face f as (u, x, -d(t)[f] * d(u)[f] * v)
         moved = np.flatnonzero(state[key // (n + 1)] == 3)
@@ -283,19 +277,13 @@ def _diagonal(columns) -> list[int]:
 
 
 def _normalize_factors(factors):
-    """Bring a diagonal multiset into invariant-factor (divisibility) form."""
+    """Bring a diagonal multiset into invariant-factor (divisibility) form:
+    one pass of (gcd, lcm) replacements makes each entry divide the next."""
     fs = [abs(f) for f in factors if abs(f) > 1]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(fs)):
-            for j in range(i + 1, len(fs)):
-                a, b = fs[i], fs[j]
-                if b % a:
-                    g = gcd(a, b)
-                    fs[i], fs[j] = g, a * b // g
-                    changed = True
-        fs.sort()
+    for i in range(len(fs)):
+        for j in range(i + 1, len(fs)):
+            g = gcd(fs[i], fs[j])
+            fs[i], fs[j] = g, fs[i] * fs[j] // g
     return tuple(f for f in fs if f > 1)
 
 

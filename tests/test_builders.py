@@ -231,7 +231,8 @@ BOX_SIZES = "box sizes must be >= 1, got nx={}, ny={}, nz={}"
     ((0, 1, 1), BOX_SIZES.format(0, 1, 1)), ((-1, 1, 1), BOX_SIZES.format(-1, 1, 1)),
     ((2, 0, 1), BOX_SIZES.format(2, 0, 1)), ((2, 1, -3), BOX_SIZES.format(2, 1, -3)),
     ((1, 1, 1.5), "nz must be an integer, got 1.5"), ((0, "1", 1), "ny must be an integer, got '1'"),
-], ids=["nx0", "nx-1", "ny0", "nz-3", "nz1.5", "ny-str"])
+    ((True, 1, 1), "nx must be an integer, got True"), ((1, 1, False), "nz must be an integer, got False"),
+], ids=["nx0", "nx-1", "ny0", "nz-3", "nz1.5", "ny-str", "nx-true", "nz-false"])
 def test_box_complex_rejects_sizes_below_1(sizes, message):
     with pytest.raises(PfcError, match=f"^{re.escape(message)}$"):
         box_complex(*sizes)
@@ -240,7 +241,8 @@ def test_box_complex_rejects_sizes_below_1(sizes, message):
 @pytest.mark.parametrize("dim, message", [
     (-1, "simplex dimension must be >= 0, got -1"), (-5, "simplex dimension must be >= 0, got -5"),
     (2.5, "dim must be an integer, got 2.5"), (None, "dim must be an integer, got None"),
-], ids=["-1", "-5", "2.5", "None"])
+    (True, "dim must be an integer, got True"), (False, "dim must be an integer, got False"),
+], ids=["-1", "-5", "2.5", "None", "True", "False"])
 def test_simplex_complex_rejects_negative_dimensions(dim, message):
     with pytest.raises(PfcError, match=f"^{re.escape(message)}$"):
         simplex_complex(dim)

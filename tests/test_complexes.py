@@ -1,6 +1,7 @@
 """Combinatorial layer: closures, links, free faces, collapses, quotients."""
 
 import random
+import re
 from itertools import combinations, permutations
 
 import numpy as np
@@ -269,6 +270,18 @@ def test_collapse_matches_rescan_reference():
         assert {id(s) for s in core.simplices} <= {id(s) for s in c.simplices}
 
 
+def test_collapse_core_rows_name_its_cells():
+    """The core keeps its input's surviving rows, its vertices renumbered,
+    so the tuples its rows give are the cells it keeps."""
+    rng = random.Random(6)
+    cases = [random_complex(rng, n_vertices=9, n_generators=8) for _ in range(40)]
+    cases += [box_complex(2, 2, 1).complex, house_with_two_rooms().complex]
+    for c in cases:
+        core = collapse_core(c).complex
+        assert Complex.from_rows(core.vertices, core.rows).cells == core.cells
+        assert core.vertices == [v for v, in core.cells[:len(core.vertices)]]
+
+
 def test_euler_characteristic_values():
     assert euler_characteristic(build_complex([(0, 1, 2, 3)])) == 1
     sphere = build_complex([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
@@ -416,6 +429,82 @@ def test_quotient_names_the_first_bad_pair():
     # within a pair, sources come before targets, each in the given order
     with pytest.raises(PfcError, match=r"references \(7,\), not in"):
         quotient(c, [([(0,), (7,)], [(8,), (1,)], {0: 1, 7: 8})])
+
+
+QUOTIENT_PAIR_ERRORS = {
+    "no image": (([(0,), (0, 1)], [(1,), (1, 2)], {0: 1}),
+                 r"vertex 1 of \(0, 1\) has no image"),
+    "degenerates": (([(0,), (1,), (0, 1)], [(1,), (1, 2)], {0: 1, 1: 1}),
+                    r"\(0, 1\) degenerates to \(1, 1\) under the pair map"),
+    "not in target": (([(0,), (1,)], [(1,), (2,)], {0: 1, 1: 0}),
+                      r"\(1,\) maps to \(0,\), not in the target subcomplex"),
+    "not covered": (([(0,)], [(2,), (1,), (1, 2), (0, 2), (0,)], {0: 1}),
+                    r"target simplices not covered by the map: \[\(0,\), \(2,\), \(0, 2\)\]"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(QUOTIENT_PAIR_ERRORS))
+def test_quotient_per_pair_errors(kind):
+    """Each of the four per-pair messages, whole, as a plain PfcError; the
+    uncovered targets are listed in (length, lex) order, at most three."""
+    c = build_complex([(0, 1, 2)])
+    pair, message = QUOTIENT_PAIR_ERRORS[kind]
+    with pytest.raises(PfcError, match=f"^{message}$") as err:
+        quotient(c, [([(2,)], [(2,)], {2: 2}), pair])
+    assert type(err.value) is PfcError
+
+
+def test_quotient_per_pair_errors_come_in_input_order():
+    """Pairs are checked in order, each completely: its sources in the given
+    order, then its coverage; a simplex missing from the complex in any pair
+    is named before them all."""
+    c = build_complex([(0, 1, 2)])
+    errors = QUOTIENT_PAIR_ERRORS
+    for first, second in permutations(errors, 2):
+        with pytest.raises(PfcError, match=f"^{errors[first][1]}$"):
+            quotient(c, [errors[first][0], errors[second][0]])
+        with pytest.raises(PfcError, match=r"^identification references \(9,\), not in complex$"):
+            quotient(c, [errors[first][0], errors[second][0], ([(0,)], [(9,)], {0: 9})])
+    # within one pair: the first bad source in the given order, whatever
+    # its kind, and the coverage check after every source
+    for src, message in [
+            ([(0, 1), (1, 2)], r"\(0, 1\) degenerates to \(1, 1\) under the pair map"),
+            ([(1, 2), (0, 1)], r"vertex 2 of \(1, 2\) has no image")]:
+        with pytest.raises(PfcError, match=f"^{message}$"):
+            quotient(c, [(src, [(1,)], {0: 1, 1: 1})])
+    for src, message in [
+            ([(0,), (1,)], r"\(1,\) maps to \(0,\), not in the target subcomplex"),
+            ([(2,), (1,)], r"vertex 2 of \(2,\) has no image")]:
+        with pytest.raises(PfcError, match=f"^{message}$"):
+            quotient(c, [(src, [(1,), (2,)], {0: 1, 1: 0})])
+
+
+def test_quotient_map_entries_must_be_vertices():
+    """A map entry naming no vertex of the complex raises a PfcError that
+    names it, after every per-pair check; an entry the per-pair checks
+    already reject keeps their message."""
+    c = build_complex([(0, 1, 2)])
+    for vmap, bad in [({0: 0, 1: -5}, "-5"), ({0: 0, "x": 1}, "'x'"), ({0: 0, 9: 1}, "9"),
+                      ({0: 0, 1: 1.5}, "1.5"), ({0: 0, 1: None}, "None")]:
+        with pytest.raises(PfcError, match=f"^vertex map entry {re.escape(bad)} is not a vertex "
+                                           f"of the complex$"):
+            quotient(c, [([(0,)], [(0,)], vmap)])
+    # values that do not sort with the vertices are named too
+    with pytest.raises(PfcError, match=r"^vertex map entry 'x' is not a vertex of the complex$"):
+        quotient(c, [([(0, 1)], [(0, 1)], {0: "x", 1: 1})])
+    for value, image in [(7, "7"), ("x", "'x'")]:
+        with pytest.raises(PfcError, match=rf"^\(0,\) maps to \({image},\), not in the target subcomplex$"):
+            quotient(c, [([(0,)], [(0,)], {0: value})])
+    with pytest.raises(PfcError, match=r"^vertex 1 of \(1,\) has no image$"):
+        quotient(c, [([(0,)], [(0,)], {0: 0, 2: -5}), ([(1,)], [(1,)], {})])
+    # an entry outside the sources merges its vertices, and the sources
+    # declare no identification of their cells: they collide
+    with pytest.raises(QuotientDegeneracyError, match=r"^distinct simplices \(1,\) and \(2,\) "
+                                                      r"collide on \(1,\) without being identified$"):
+        quotient(c, [([(0,)], [(0,)], {0: 0, 1: 2})])
+    # vertex ids of other integer types name the same vertices
+    res = quotient(build_complex([(0, 1), (2,)]), [([(2,)], [(1,)], {np.int64(2): np.int64(1)})])
+    assert res.vertex_map == {0: 0, 1: 1, 2: 1}
 
 
 def test_facets():

@@ -156,3 +156,25 @@ def test_cofaces_by_one_key_sort_and_morse_rounds_on_a_frontier():
                 if getattr(node, "name", None) == "_morse_core")
     rounds = [n for n in ast.walk(core) if isinstance(n, ast.While)]
     assert rounds and all(references(loop)["full"] == 0 for loop in rounds)
+
+
+def test_one_union_find_and_one_constructor_path():
+    """Classes are joined by one hooking loop, complexes._class_minima: no
+    class in the package defines find or union, and both quotient and the
+    ace rounds' _component_minima call the helper.  No library code builds
+    a complex by calling Complex(simplices); collapse_core and link take
+    rows to Complex.from_rows."""
+    modules = parsed_modules()
+    methods = [f"{name}: {cls.name}.{f.name}" for name, tree in modules.items()
+               for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+               for f in cls.body if isinstance(f, ast.FunctionDef) and f.name in ("find", "union")]
+    assert methods == []
+    defs = {node.name: node for tree in modules.values() for node in tree.body
+            if isinstance(node, ast.FunctionDef)}
+    for func in ("quotient", "_component_minima"):
+        called = {n.func.id for n in ast.walk(defs[func])
+                  if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+        assert "_class_minima" in called, func
+    calls = [f"{name}: line {n.lineno}" for name, tree in modules.items() for n in ast.walk(tree)
+             if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "Complex"]
+    assert calls == []
